@@ -610,6 +610,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             try:
                 pending.append(_parse_serve_line(line, registry))
             except (ValueError, KeyError) as exc:
+                # Answer the requests before this line first: responses
+                # leave in request order.
+                flush()
                 print(json.dumps({"error": str(exc)}))
                 failed += 1
                 continue

@@ -8,11 +8,14 @@ flush sizes the hot loop was allocation/page-fault bound, not FLOP
 bound.  This module packs both networks once per model fingerprint and
 executes the whole stack through preallocated arenas:
 
-* **Exact mode** (``fast=False``, the default) replays the reference
-  pipeline operation for operation — same gemm blocking, same ufunc
-  sequence — into reused buffers, so results stay *bitwise identical*
-  to ``predict_power_many`` / ``predict_unit_time_many`` while the
-  steady state allocates nothing but the output matrices.
+* **Exact mode** (``fast=False``, the default) computes the reference
+  pipeline's arithmetic into reused buffers: the same per-curve gemm
+  calls (one stacked ``matmul`` per layer per chunk issues them) and
+  the same elementwise values (SELU as a mask-free ``max + ALPHA *
+  expm1(min)`` sum that equals the reference ``where`` bit for bit).
+  Results stay *bitwise identical* to ``predict_power_many`` /
+  ``predict_unit_time_many`` while the steady state allocates nothing
+  but the output matrices.
 * **Fast mode** (``fast=True``) folds the x-scaler affine into layer 0
   and the y-scaler inverse into the last layer (DESIGN.md §13 derives
   why both compose), decomposes the first layer over the replicated
@@ -69,11 +72,15 @@ _BLEND_A = _ALPHA * _LOG2E
 #: float64, the measured sweet spot on a 2 MiB L2.
 _TILE_REQS = 12
 
-#: Requests per exact-path chunk.  The exact path keeps the reference
-#: ufunc sequence (6 elementwise passes per SELU layer), so bounding the
-#: chunk keeps those passes in cache; boundaries fall on whole requests,
-#: which preserves the per-curve gemm blocking and hence bitwiseness.
-_CHUNK_REQS = 32
+#: Requests per exact-path chunk.  Each SELU layer makes 6 full-SIMD
+#: elementwise passes over the chunk's gemm output and its scratch, so
+#: the chunk must keep that pair cache-resident: at 16 requests x 61
+#: clocks each 64-wide buffer is ~0.5 MiB, inside a 2 MiB L2, and
+#: ``repro serve`` on all-new profiles ran ~15 % faster than at 32
+#: (1 MiB buffers); 8 measured the same as 16.  Boundaries fall on
+#: whole requests, which preserves the per-curve gemm blocking and
+#: hence bitwiseness.
+_CHUNK_REQS = 16
 
 #: Smallest time value the reference pipeline allows (models.py clip).
 _TIME_FLOOR = 1e-12
@@ -92,11 +99,11 @@ class _Arena:
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, rows: int, cols: int, dtype: type = np.float64) -> np.ndarray:
+    def take(self, name: str, rows: int, cols: int) -> np.ndarray:
         buf = self._buffers.get(name)
-        if buf is None or buf.shape[0] < rows or buf.shape[1] != cols or buf.dtype != dtype:
-            keep = rows if buf is None or buf.shape[1] != cols or buf.dtype != dtype else buf.shape[0]
-            buf = np.empty((max(rows, keep), cols), dtype=dtype)
+        if buf is None or buf.shape[0] < rows or buf.shape[1] != cols:
+            keep = rows if buf is None or buf.shape[1] != cols else buf.shape[0]
+            buf = np.empty((max(rows, keep), cols))
             self._buffers[name] = buf
         return buf[:rows]
 
@@ -111,6 +118,27 @@ def _finalize_power(curves: np.ndarray, power_scale_w: float | None) -> None:
 def _finalize_unit_time(curves: np.ndarray) -> None:
     """In-place floor clip, mirroring ``predict_unit_time_many``."""
     np.maximum(curves, _TIME_FLOOR, out=curves)
+
+
+def _selu_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``activations.SELU()(z)`` bit for bit, written into ``z``.
+
+    The reference computes ``SCALE * where(z > 0, z, ALPHA * expm1(min(z,
+    0)))``; this is ``SCALE * (max(z, 0) + ALPHA * expm1(min(z, 0)))``.
+    For z > 0 the second term is exactly +0.0, so the sum is z; for z < 0
+    the first term is +0.0, so the sum is the second term; for z = ±0
+    max and min break the tie alike, so both terms are the same zero; a
+    NaN propagates through both.  Every pass is a full-SIMD ufunc — the
+    ``where=`` copy a masked blend needs drops to a scalar loop.
+    ``scratch`` must match ``z``'s shape and must not alias it.
+    """
+    np.minimum(z, 0.0, out=scratch)
+    np.expm1(scratch, out=scratch)
+    np.multiply(_ALPHA, scratch, out=scratch)
+    np.maximum(z, 0.0, out=z)
+    np.add(z, scratch, out=z)
+    np.multiply(_SCALE, z, out=z)
+    return z
 
 
 class PackedModel:
@@ -157,8 +185,8 @@ class PackedModel:
     # Packing
     # ------------------------------------------------------------------
     def _pack_exact(self, spec: InferenceSpec) -> None:
-        # Verbatim copies: the exact path replays the reference ufunc
-        # sequence, so the parameters must be untouched.
+        # Verbatim copies: the exact path repeats the reference
+        # arithmetic, so the parameters must be untouched.
         self._x_mean = spec.x_mean
         self._x_scale = spec.x_scale
         self._y_mean = spec.y_mean
@@ -281,11 +309,13 @@ class PackedModel:
     def _forward_exact(self, fp: np.ndarray, dram: np.ndarray, out: np.ndarray, finalize=None) -> None:
         """Reference pipeline replay into arenas (bitwise-identical).
 
-        Chunk boundaries fall on whole requests and the gemm runs per
-        f-row block exactly as ``predict_blocked`` does, so every BLAS
-        call sees the same operand shapes as the reference path; all
-        other stages are elementwise ufuncs in the reference order,
-        which chunking and ``out=`` placement cannot perturb.
+        Chunk boundaries fall on whole requests, and each layer's gemm
+        is one stacked ``matmul`` over the chunk's ``(t, f, k)`` view:
+        numpy loops that stack dimension issuing one BLAS call per
+        curve, with the same operand shapes and leading dimensions as
+        ``predict_blocked``'s per-block ``@``.  Every other stage is an
+        elementwise ufunc, which chunking and ``out=`` placement cannot
+        perturb.
         """
         n = fp.shape[0]
         f = self._freqs.size
@@ -295,18 +325,19 @@ class PackedModel:
             t = c1 - c0
             rows = t * f
             x = arena.take("x", rows, 3)
-            x[:, 0] = np.repeat(fp[c0:c1], f)
-            x[:, 1] = np.repeat(dram[c0:c1], f)
-            x[:, 2] = np.tile(self._freqs, t)
+            grid = x.reshape(t, f, 3)
+            grid[:, :, 0] = fp[c0:c1, None]
+            grid[:, :, 1] = dram[c0:c1, None]
+            grid[:, :, 2] = self._freqs
             np.subtract(x, self._x_mean, out=x)
             np.divide(x, self._x_scale, out=x)
             cur = x
             for li, (w, b, act) in enumerate(self._layers):
-                z = arena.take(f"z{li}", rows, w.shape[1])
-                for s in range(0, rows, f):
-                    z[s : s + f] = cur[s : s + f] @ w
+                k, h = w.shape
+                z = arena.take(f"z{li}", rows, h)
+                np.matmul(cur.reshape(t, f, k), w, out=z.reshape(t, f, h))
                 np.add(z, b, out=z)
-                cur = self._activate_exact(act, z, li)
+                cur = self._activate_exact(act, z)
             np.multiply(cur, self._y_scale, out=cur)
             np.add(cur, self._y_mean, out=cur)
             if self.log_target:
@@ -315,25 +346,15 @@ class PackedModel:
             if finalize is not None:
                 finalize(out[c0:c1])
 
-    def _activate_exact(self, act: str, z: np.ndarray, li: int) -> np.ndarray:
+    def _activate_exact(self, act: str, z: np.ndarray) -> np.ndarray:
         if act == "linear":
             return z
         if act == "relu":
             np.maximum(z, 0.0, out=z)
             return z
         if act == "selu":
-            # Same per-element operation sequence as activations.SELU:
-            # SCALE * where(z > 0, z, ALPHA * expm1(minimum(z, 0))).
             rows, cols = z.shape
-            t = self._arena.take(f"t{li}", rows, cols)
-            mask = self._arena.take(f"m{li}", rows, cols, dtype=np.bool_)
-            np.minimum(z, 0.0, out=t)
-            np.expm1(t, out=t)
-            np.multiply(_ALPHA, t, out=t)
-            np.greater(z, 0.0, out=mask)
-            np.copyto(t, z, where=mask)
-            np.multiply(_SCALE, t, out=t)
-            return t
+            return _selu_inplace(z, self._arena.take(f"t{cols}", rows, cols))
         # Exotic sweep activations: fall back to the reference callable
         # (allocates, but stays bitwise by construction).
         return get_activation(act)(z)

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.dataset import FeatureVector
 from repro.core.models import InferenceSpec
-from repro.nn.activations import get_activation
-from repro.serving.engine import FusedInferenceEngine, PackedModel, ShardPool
+from repro.nn.activations import SELU, get_activation
+from repro.serving.engine import FusedInferenceEngine, PackedModel, ShardPool, _selu_inplace
 
 from tests.golden.tiny_pipeline import make_tiny_pipeline
 
@@ -41,6 +42,12 @@ def _columns(n: int, seed: int = 7) -> tuple[np.ndarray, np.ndarray]:
 
 def _feature_list(fp: np.ndarray, dram: np.ndarray) -> list[FeatureVector]:
     return [FeatureVector(f, d, 1410.0) for f, d in zip(fp, dram)]
+
+
+def _assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
+    """Bitwise equality; unlike ``array_equal`` it tells -0.0 from 0.0."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def _reference_curves(pipeline, fp, dram, freqs, scale):
@@ -65,8 +72,25 @@ class TestExactBitwise:
         fp, dram = _columns(37)
         want_power, want_time = _reference_curves(pipeline, fp, dram, freqs, scale)
         power, unit_time = engine.infer(fp, dram)
-        assert np.array_equal(power, want_power)
-        assert np.array_equal(unit_time, want_time)
+        _assert_same_bytes(power, want_power)
+        _assert_same_bytes(unit_time, want_time)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+    def test_chunk_boundaries_stay_bitwise(self, served, n):
+        """Partial, exact and straddled 8-request chunks all match."""
+        pipeline, freqs, scale = served
+        engine = FusedInferenceEngine(
+            pipeline.power_model.inference_spec(),
+            pipeline.time_model.inference_spec(),
+            freqs,
+            power_scale_w=scale,
+            chunk_reqs=8,
+        )
+        fp, dram = _columns(n, seed=n)
+        want_power, want_time = _reference_curves(pipeline, fp, dram, freqs, scale)
+        power, unit_time = engine.infer(fp, dram)
+        _assert_same_bytes(power, want_power)
+        _assert_same_bytes(unit_time, want_time)
 
     def test_arena_reuse_stays_bitwise(self, served):
         """Second and shrunken calls reuse warmed arenas without drift."""
@@ -83,8 +107,8 @@ class TestExactBitwise:
             fp, dram = _columns(n, seed=seed)
             want_power, want_time = _reference_curves(pipeline, fp, dram, freqs, scale)
             power, unit_time = engine.infer(fp, dram)
-            assert np.array_equal(power, want_power)
-            assert np.array_equal(unit_time, want_time)
+            _assert_same_bytes(power, want_power)
+            _assert_same_bytes(unit_time, want_time)
 
     def test_outputs_are_fresh_arrays(self, served):
         """Curves must survive later flushes — never arena views."""
@@ -101,6 +125,51 @@ class TestExactBitwise:
         engine.infer(*_columns(6, seed=9))
         assert np.array_equal(power_a, keep_p)
         assert np.array_equal(time_a, keep_t)
+
+
+class TestExactKernels:
+    """The two rewrites the exact path rests on, checked against numpy."""
+
+    SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf, np.nan)
+
+    def _check_selu(self, z: np.ndarray) -> None:
+        with np.errstate(all="ignore"):
+            want = SELU()(z)
+            got = _selu_inplace(z.copy(), np.empty_like(z))
+        _assert_same_bytes(got, want)
+
+    def test_selu_special_values(self):
+        z = np.array(self.SPECIALS)
+        self._check_selu(z)
+        # Sign-flipped NaN and a spread of ordinary values, in a block
+        # long enough to run the SIMD loops, not just their scalar tails.
+        rng = np.random.default_rng(0)
+        self._check_selu(np.concatenate([z, -z, rng.normal(0.0, 5.0, 997)]))
+
+    @given(
+        z=hnp.arrays(
+            np.float64, st.integers(1, 300), elements=st.floats(allow_nan=True, allow_infinity=True)
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_selu_property(self, z):
+        self._check_selu(z)
+
+    @pytest.mark.parametrize("k,h", [(3, 64), (64, 64), (64, 1)])
+    def test_stacked_matmul_is_per_curve(self, k, h):
+        """One ``matmul`` over a (t, f, k) stack equals one ``@`` per
+        f-row block bitwise — the gemm blocking ``predict_blocked`` uses."""
+        rng = np.random.default_rng(k * 100 + h)
+        f = 61
+        w = rng.normal(size=(k, h))
+        for t in (1, 7, 8, 9, 17, 32):
+            x = rng.normal(size=(t * f, k))
+            want = np.empty((t * f, h))
+            for s in range(0, t * f, f):
+                want[s : s + f] = x[s : s + f] @ w
+            got = np.empty((t * f, h))
+            np.matmul(x.reshape(t, f, k), w, out=got.reshape(t, f, h))
+            _assert_same_bytes(got, want)
 
 
 class TestFastPath:
@@ -279,10 +348,10 @@ class TestShardPool:
             power, unit_time = engine.infer(fp, dram)
             # A 1-row flush is below the shard count: in-process fallback.
             solo_p, solo_t = engine.infer(fp[:1], dram[:1])
-        assert np.array_equal(power, want_power)
-        assert np.array_equal(unit_time, want_time)
-        assert np.array_equal(solo_p, want_power[:1])
-        assert np.array_equal(solo_t, want_time[:1])
+        _assert_same_bytes(power, want_power)
+        _assert_same_bytes(unit_time, want_time)
+        _assert_same_bytes(solo_p, want_power[:1])
+        _assert_same_bytes(solo_t, want_time[:1])
 
     def test_pool_over_capacity_returns_none(self, served):
         pipeline, freqs, scale = served

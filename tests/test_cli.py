@@ -196,6 +196,26 @@ class TestServe:
         assert "error" in lines[0]
         assert lines[1]["name"] == "lammps"
 
+    def test_error_line_keeps_request_order(self, models, tmp_path, capsys):
+        """A malformed line is answered after the valid ones before it."""
+        import json
+
+        path = self._request_file(
+            tmp_path,
+            [
+                '{"fp_active": 0.6, "dram_active": 0.3, "time_at_max_s": 2.5, "name": "one"}',
+                '{"fp_active": 0.5}',
+                '{"fp_active": 0.4, "dram_active": 0.2, "time_at_max_s": 1.5, "name": "two"}',
+            ],
+        )
+        code = main(["serve", "--models", str(models), "--input", str(path)])
+        assert code == 1
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(lines) == 3
+        assert lines[0]["name"] == "one"
+        assert set(lines[1]) == {"error"}
+        assert lines[2]["name"] == "two"
+
     def test_feature_repeats_hit_cache(self, models, tmp_path, capsys):
         import json
 
