@@ -19,6 +19,7 @@ from pathlib import Path
 
 from repro.core.dataset import build_dataset
 from repro.gpusim import GA100, SimulatedGPU
+from repro.obs.report import write_bench
 from repro.telemetry import LaunchConfig, Launcher
 from repro.workloads import get_workload
 
@@ -63,36 +64,34 @@ def _measure(workers: int | None = 1, repeats: int = 3) -> dict:
 def test_collection_throughput_tracked():
     previous = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
     current = _measure(workers=1)
-
-    best = previous.get("best")
-    if best is None or current["samples_per_s"] > best["samples_per_s"]:
-        best = current
-
-    payload = {
-        "bench": "collection-mini-campaign",
-        "campaign": {
+    payload = write_bench(
+        BENCH_PATH,
+        bench="collection-mini-campaign",
+        config={
             "workloads": list(WORKLOAD_NAMES),
             "clocks": N_CLOCKS,
             "runs_per_config": RUNS_PER_CONFIG,
         },
-        "pre_pr_baseline": previous.get("pre_pr_baseline"),
-        "best": best,
-        "current": current,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        metrics={name: (current[name], "higher") for name in ("runs_per_s", "samples_per_s")},
+        detail={
+            "pre_pr_baseline": previous.get("detail", {}).get("pre_pr_baseline"),
+            "measured": {k: current[k] for k in ("runs", "samples", "seconds")},
+        },
+    )
 
-    floor = best["samples_per_s"] / REGRESSION_FACTOR
+    best = payload["metrics"]["samples_per_s"]["best"]
+    floor = best / REGRESSION_FACTOR
     assert current["samples_per_s"] >= floor, (
         f"collection throughput regressed: {current['samples_per_s']:.0f} samples/s "
         f"is below the {floor:.0f} samples/s floor "
-        f"({REGRESSION_FACTOR}x under the best recorded {best['samples_per_s']:.0f})"
+        f"({REGRESSION_FACTOR}x under the best recorded {best:.0f})"
     )
 
 
 def test_vectorized_path_beats_pre_pr_baseline_10x():
     """The acceptance bar of the vectorization PR, kept as a living check."""
     recorded = json.loads(BENCH_PATH.read_text())
-    baseline = recorded.get("pre_pr_baseline")
+    baseline = recorded["detail"].get("pre_pr_baseline")
     assert baseline is not None, "BENCH_collection.json lost its pre-PR baseline entry"
     current = _measure(workers=1, repeats=2)
     assert current["samples_per_s"] >= 10.0 * baseline["samples_per_s"]

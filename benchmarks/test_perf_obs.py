@@ -28,6 +28,7 @@ import pytest
 
 from repro import obs
 from repro.core.dataset import FeatureVector
+from repro.obs.report import write_bench
 from repro.serving import SelectionRequest, SelectionService
 
 from tests.golden.tiny_pipeline import make_tiny_pipeline, train_tiny_models
@@ -109,26 +110,22 @@ def test_tracer_overhead_tracked(pipeline, tmp_path_factory):
     """Record the overhead trajectory and enforce the <= 10 % gate."""
     previous = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
     scenarios = _measure(pipeline, tmp_path_factory)
-    current = scenarios["jsonl"]
-
-    best = previous.get("best")
-    if best is None or current["slowdown_vs_disabled"] < best["slowdown_vs_disabled"]:
-        best = current
-
-    payload = {
-        "bench": "obs-tracer-overhead",
-        "config": {
+    write_bench(
+        BENCH_PATH,
+        bench="obs-tracer-overhead",
+        config={
             "n_requests": N_REQUESTS,
             "n_distinct": N_DISTINCT,
             "scenario": "hot-mix serving flush",
             "max_traced_slowdown": MAX_TRACED_SLOWDOWN,
         },
-        "pre_pr_baseline": previous.get("pre_pr_baseline") or scenarios["disabled"],
-        "scenarios": scenarios,
-        "best": best,
-        "current": current,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        metrics={"slowdown_vs_disabled": (scenarios["jsonl"]["slowdown_vs_disabled"], "lower")},
+        detail={
+            "pre_pr_baseline": previous.get("detail", {}).get("pre_pr_baseline")
+            or scenarios["disabled"],
+            "scenarios": scenarios,
+        },
+    )
 
     for name in ("ring", "jsonl"):
         slowdown = scenarios[name]["slowdown_vs_disabled"]

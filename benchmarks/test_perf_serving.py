@@ -24,8 +24,9 @@ fresh process):
   :meth:`~repro.serving.engine.FusedInferenceEngine.infer` pass over
   2048 distinct profiles (both models), no service stages around it.
 
-Each scenario keeps a ``best`` record (highest selections/s ever
-committed for the current config) next to ``current``;
+Each scenario's selections/s is a tracked metric whose ``best`` (highest
+ever committed for the current config) :func:`repro.obs.report.write_bench`
+keeps next to ``current``;
 ``repro report --gate`` fails CI when a committed ``current`` drops
 more than 10% below its ``best``.  Throughput numbers are
 machine-dependent; the in-test ``REGRESSION_FACTOR`` guard is
@@ -49,6 +50,7 @@ import pytest
 from repro.core.energy import ED2P, EDP, energy_from_power_time
 from repro.core.dataset import FeatureVector
 from repro.core.selection import select_optimal_frequency
+from repro.obs.report import write_bench
 from repro.serving import SelectionRequest, SelectionService
 
 from tests.golden.tiny_pipeline import make_tiny_pipeline, train_tiny_models
@@ -200,29 +202,28 @@ def test_serving_throughput_tracked(pipeline):
         "cold_speedup_bar": COLD_SPEEDUP_BAR,
         "hot_selections_per_s_bar": HOT_SELECTIONS_PER_S_BAR,
     }
-    # Best records only carry forward within one benchmark config — a
-    # changed flush size/mix resets the trajectory.
     same_config = previous.get("config") == config
-    previous_scenarios = previous.get("scenarios", {}) if same_config else {}
 
     measured = _measure_all(pipeline)
-    scenarios = {}
-    for name, current in measured["scenarios"].items():
-        best = previous_scenarios.get(name, {}).get("best")
-        if best is None or current["selections_per_s"] > best["selections_per_s"]:
-            best = {k: current[k] for k in ("seconds", "selections_per_s")}
-        scenarios[name] = {**current, "best": best}
-
-    payload = {
-        "bench": "serving-batch-throughput",
-        "config": config,
-        # The pre-PR path is the sequential per-request loop itself.
-        "pre_pr_baseline": (previous.get("pre_pr_baseline") if same_config else None)
-        or measured["sequential"],
-        "sequential": measured["sequential"],
-        "scenarios": scenarios,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    scenarios = measured["scenarios"]
+    payload = write_bench(
+        BENCH_PATH,
+        bench="serving-batch-throughput",
+        config=config,
+        metrics={
+            f"{name}.selections_per_s": (record["selections_per_s"], "higher")
+            for name, record in scenarios.items()
+        },
+        detail={
+            # The baseline is the sequential per-request loop itself.
+            "pre_pr_baseline": (
+                previous.get("detail", {}).get("pre_pr_baseline") if same_config else None
+            )
+            or measured["sequential"],
+            "sequential": measured["sequential"],
+            "scenarios": scenarios,
+        },
+    )
 
     cold = scenarios["cold"]
     assert cold["speedup_vs_sequential"] >= COLD_SPEEDUP_BAR, (
@@ -239,16 +240,16 @@ def test_serving_throughput_tracked(pipeline):
     assert hot["speedup_vs_sequential"] >= SPEEDUP_BAR
 
     for name, record in scenarios.items():
-        floor = record["best"]["selections_per_s"] / REGRESSION_FACTOR
+        best = payload["metrics"][f"{name}.selections_per_s"]["best"]
+        floor = best / REGRESSION_FACTOR
         assert record["selections_per_s"] >= floor, (
             f"{name} throughput regressed: {record['selections_per_s']:.0f} "
             f"selections/s is below the {floor:.0f} floor ({REGRESSION_FACTOR}x "
-            f"under the best recorded {record['best']['selections_per_s']:.0f})"
+            f"under the best recorded {best:.0f})"
         )
 
 
 def test_cached_flush_is_fastest_path(pipeline):
     """A warm LRU must beat (or match) recomputing the same flush."""
-    recorded = json.loads(BENCH_PATH.read_text())
-    scenarios = recorded["scenarios"]
-    assert scenarios["cached"]["selections_per_s"] >= scenarios["cold"]["selections_per_s"]
+    metrics = json.loads(BENCH_PATH.read_text())["metrics"]
+    assert metrics["cached.selections_per_s"]["current"] >= metrics["cold.selections_per_s"]["current"]

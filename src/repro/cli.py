@@ -29,12 +29,12 @@ Mirrors how the paper's framework is operated:
 ``repro experiment``
     Regenerate one paper figure/table and print it.
 ``repro obs``
-    Observability utilities: ``summarize`` a trace JSONL into per-span
-    latency percentiles (``--format json|text``), ``analyze`` it into a
-    span tree (self- vs cumulative-time attribution, critical path,
-    collapsed-stack flamegraph export, per-phase diff against a second
-    trace), ``export`` the process metrics registry as Prometheus text
-    or JSON.
+    Observability utilities: ``analyze`` a trace JSONL into a span tree
+    (per-span self- vs cumulative-time attribution with latency
+    percentiles, instant-event counts, critical path, collapsed-stack
+    flamegraph export, per-phase diff against a second trace;
+    ``--format text|markdown|json``), ``export`` the process metrics
+    registry as Prometheus text or JSON.
 ``repro report``
     Performance trajectory report over the committed ``BENCH_*.json``
     files (and an optional run-history store): markdown/GitHub/text
@@ -199,17 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_obs = sub.add_parser("obs", help="observability utilities")
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
-    # dest must not collide with the global --trace flag (both would
-    # land on args.trace and the summarize target would get traced).
-    p_sum = obs_sub.add_parser("summarize", help="per-span latency report from a trace JSONL")
-    p_sum.add_argument("trace_file", metavar="trace", help="trace file written via --trace")
-    p_sum.add_argument("--top", type=int, default=None, help="show only the N largest spans")
-    p_sum.add_argument(
-        "--format", choices=("text", "json"), default="text", help="table or raw summary JSON"
-    )
     p_ana = obs_sub.add_parser(
-        "analyze", help="span-tree attribution / flamegraph / diff from a trace JSONL"
+        "analyze",
+        help="span-tree attribution and percentiles / flamegraph / diff from a trace JSONL",
     )
+    # dest must not collide with the global --trace flag (both would
+    # land on args.trace and the analyzed file would get traced).
     p_ana.add_argument("trace_file", metavar="trace", help="trace file written via --trace")
     p_ana.add_argument(
         "--diff", metavar="OTHER", default=None, help="second trace: print the per-phase delta table"
@@ -225,7 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ana.add_argument("--top", type=int, default=None, help="show only the N largest rows")
     p_ana.add_argument(
-        "--format", choices=("text", "markdown"), default="text", help="table style"
+        "--format",
+        choices=("text", "markdown", "json"),
+        default="text",
+        help="table style, or the raw report as JSON",
     )
     p_exp_reg = obs_sub.add_parser("export", help="export the process metrics registry")
     p_exp_reg.add_argument(
@@ -498,29 +496,28 @@ def _cmd_select(args: argparse.Namespace) -> int:
         print("--shards must be >= 1", file=sys.stderr)
         return 2
     pipeline = _load_pipeline(args.models, args.arch, args.seed)
-    service = SelectionService(
+    with SelectionService(
         pipeline,
         threshold=args.threshold,
         max_batch_size=args.batch,
         fused=args.fused,
         shards=args.shards,
         registry=obs.get_registry(),
-    )
-
-    print(f"{len(workloads)} applications on {pipeline.device.arch.name}:")
-    for start in range(0, len(workloads), args.batch):
-        chunk = workloads[start : start + args.batch]
-        responses = service.select_many([SelectionRequest.from_workload(w) for w in chunk])
-        for response in responses:
-            parts = [
-                f"{name} {sel.freq_mhz:.0f} MHz (energy {100 * sel.energy_saving:+.1f}%, "
-                f"time {-100 * sel.perf_degradation:+.1f}%)"
-                for name, sel in response.selections.items()
-            ]
-            suffix = "  [cached]" if response.from_cache else ""
-            print(f"  {response.name:12s} {'  '.join(parts)}{suffix}")
-    if args.stats:
-        _print_service_stats(service.stats(), sys.stdout)
+    ) as service:
+        print(f"{len(workloads)} applications on {pipeline.device.arch.name}:")
+        for start in range(0, len(workloads), args.batch):
+            chunk = workloads[start : start + args.batch]
+            responses = service.select_many([SelectionRequest.from_workload(w) for w in chunk])
+            for response in responses:
+                parts = [
+                    f"{name} {sel.freq_mhz:.0f} MHz (energy {100 * sel.energy_saving:+.1f}%, "
+                    f"time {-100 * sel.perf_degradation:+.1f}%)"
+                    for name, sel in response.selections.items()
+                ]
+                suffix = "  [cached]" if response.from_cache else ""
+                print(f"  {response.name:12s} {'  '.join(parts)}{suffix}")
+        if args.stats:
+            _print_service_stats(service.stats(), sys.stdout)
     return 0
 
 
@@ -565,66 +562,65 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     pipeline = _load_pipeline(args.models, args.arch, args.seed)
     registry = default_registry()
-    service = SelectionService(
+    with SelectionService(
         pipeline,
         threshold=args.threshold,
         max_batch_size=args.batch,
         fused=args.fused,
         shards=args.shards,
         registry=obs.get_registry(),
-    )
+    ) as service:
+        stream = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
+        served = failed = 0
+        try:
+            pending: list = []
 
-    stream = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
-    served = failed = 0
-    try:
-        pending: list = []
-
-        def flush() -> None:
-            nonlocal served
-            if not pending:
-                return
-            for response in service.select_many(pending):
-                print(
-                    json.dumps(
-                        {
-                            "name": response.name,
-                            "cached": response.from_cache,
-                            "selections": {
-                                name: {
-                                    "freq_mhz": sel.freq_mhz,
-                                    "energy_saving": sel.energy_saving,
-                                    "perf_degradation": sel.perf_degradation,
-                                }
-                                for name, sel in response.selections.items()
-                            },
-                        }
+            def flush() -> None:
+                nonlocal served
+                if not pending:
+                    return
+                for response in service.select_many(pending):
+                    print(
+                        json.dumps(
+                            {
+                                "name": response.name,
+                                "cached": response.from_cache,
+                                "selections": {
+                                    name: {
+                                        "freq_mhz": sel.freq_mhz,
+                                        "energy_saving": sel.energy_saving,
+                                        "perf_degradation": sel.perf_degradation,
+                                    }
+                                    for name, sel in response.selections.items()
+                                },
+                            }
+                        )
                     )
-                )
-                served += 1
-            pending.clear()
+                    served += 1
+                pending.clear()
 
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                pending.append(_parse_serve_line(line, registry))
-            except (ValueError, KeyError) as exc:
-                # Answer the requests before this line first: responses
-                # leave in request order.
-                flush()
-                print(json.dumps({"error": str(exc)}))
-                failed += 1
-                continue
-            if len(pending) >= args.batch:
-                flush()
-        flush()
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-    if args.stats:
-        _print_service_stats(service.stats(), sys.stderr)
-        print(f"served {served} requests, {failed} invalid", file=sys.stderr)
+            for line in stream:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    pending.append(_parse_serve_line(line, registry))
+                except (ValueError, KeyError) as exc:
+                    # Answer the requests before this line first: responses
+                    # leave in request order.
+                    flush()
+                    print(json.dumps({"error": str(exc)}))
+                    failed += 1
+                    continue
+                if len(pending) >= args.batch:
+                    flush()
+            flush()
+        finally:
+            if stream is not sys.stdin:
+                stream.close()
+        if args.stats:
+            _print_service_stats(service.stats(), sys.stderr)
+            print(f"served {served} requests, {failed} invalid", file=sys.stderr)
     return 0 if failed == 0 else 1
 
 
@@ -696,19 +692,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
+    import dataclasses
     import json
 
-    if args.obs_command == "summarize":
-        trace_path = Path(args.trace_file)
-        if not trace_path.exists():
-            print(f"no such trace file: {trace_path}", file=sys.stderr)
-            return 2
-        summary = obs.summarize_file(trace_path)
-        if args.format == "json":
-            print(json.dumps(summary, indent=2, sort_keys=True))
-        else:
-            print(obs.render_summary(summary, top=args.top))
-        return 0
     if args.obs_command == "analyze":
         trace_path = Path(args.trace_file)
         if not trace_path.exists():
@@ -720,8 +706,16 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             if not other.exists():
                 print(f"no such trace file: {other}", file=sys.stderr)
                 return 2
-            rows = obs.diff_attribution(forest, obs.forest_from_file(other))
-            print(obs.render_diff(rows, fmt=args.format, top=args.top))
+            rows = obs.diff_attribution(forest, obs.forest_from_file(other))[: args.top]
+            if args.format == "json":
+                print(json.dumps([dataclasses.asdict(r) for r in rows], indent=2))
+            else:
+                print(obs.render_diff(rows, fmt=args.format))
+        elif args.format == "json":
+            report = obs.analysis(forest)
+            if args.critical_path:
+                report["critical_path"] = [node.name for node in obs.critical_path(forest)]
+            print(json.dumps(report, indent=2, sort_keys=True))
         else:
             print(obs.render_attribution(forest, top=args.top))
             if args.critical_path:

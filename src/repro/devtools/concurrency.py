@@ -38,7 +38,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.devtools.context import ModuleContext
+from repro.devtools.context import ModuleContext, walk
 from repro.devtools.rules.locking import (
     _CONSTRUCTION_METHODS,
     _LOCK_FACTORIES,
@@ -194,7 +194,7 @@ class ConcurrencyAnalysis:
         for qual, cinfo in self.index.classes.items():
             ctx = self.index.modules[cinfo.module]
             locks: set[str] = set()
-            for node in ast.walk(cinfo.node):
+            for node in walk(cinfo.node):
                 if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
                     continue
                 if ctx.resolve(node.value.func) not in _LOCK_FACTORIES:
@@ -443,7 +443,7 @@ class ConcurrencyAnalysis:
             record_loads_expr(stmt, held)
 
         def record_loads_expr(root: ast.AST, held: frozenset[str]) -> None:
-            for node in ast.walk(root):
+            for node in walk(root):
                 if (
                     isinstance(node, ast.Attribute)
                     and isinstance(node.value, ast.Name)
@@ -530,7 +530,7 @@ class ConcurrencyAnalysis:
             owner = fn.class_qualname
             acquired: set[str] = set()
 
-            def walk(stmts: list[ast.stmt], held: frozenset[str]) -> None:
+            def walk_block(stmts: list[ast.stmt], held: frozenset[str]) -> None:
                 for stmt in stmts:
                     if isinstance(stmt, (ast.With, ast.AsyncWith)):
                         new_ids = []
@@ -554,7 +554,7 @@ class ConcurrencyAnalysis:
                                         )
                                     )
                             now_held.add(lock_id)
-                        walk(stmt.body, frozenset(now_held))
+                        walk_block(stmt.body, frozenset(now_held))
                     elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                         continue
                     elif isinstance(stmt, (ast.If, ast.For, ast.AsyncFor, ast.While, ast.Try)):
@@ -563,19 +563,19 @@ class ConcurrencyAnalysis:
                             if isinstance(sub, ast.expr):
                                 note_calls(sub, held)
                         for block in ("body", "orelse", "finalbody"):
-                            walk(getattr(stmt, block, []) or [], held)
+                            walk_block(getattr(stmt, block, []) or [], held)
                         for handler in getattr(stmt, "handlers", []) or []:
-                            walk(handler.body, held)
+                            walk_block(handler.body, held)
                     elif isinstance(stmt, ast.Match):
                         for case in stmt.cases:
-                            walk(case.body, held)
+                            walk_block(case.body, held)
                     else:
                         note_calls(stmt, held)
 
             def note_calls(node: ast.AST, held: frozenset[str]) -> None:
                 if not held:
                     return
-                for sub in ast.walk(node):
+                for sub in walk(node):
                     if isinstance(sub, ast.Call):
                         site = self._site_by_node.get(id(sub))
                         if site is None:
@@ -596,7 +596,7 @@ class ConcurrencyAnalysis:
                                     )
                                 )
 
-            walk(fn.node.body, frozenset())
+            walk_block(fn.node.body, frozenset())
             direct[qual] = acquired
         self._current_walk_fn = None
 
@@ -724,7 +724,7 @@ class ConcurrencyAnalysis:
         out: dict[str, str] = {}
         if caller_fn is None:
             return out
-        for node in ast.walk(caller_fn.node):
+        for node in walk(caller_fn.node):
             if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
                 continue
             resolved = ctx.resolve(node.value.func)
@@ -750,7 +750,7 @@ class ConcurrencyAnalysis:
             init = cinfo.methods.get(name)
             if init is None or ctx is None:
                 continue
-            for node in ast.walk(init.node):
+            for node in walk(init.node):
                 if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
                     continue
                 resolved = ctx.resolve(node.value.func)

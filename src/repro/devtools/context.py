@@ -22,10 +22,43 @@ from pathlib import Path
 
 from repro.devtools.findings import Finding
 
-__all__ = ["ModuleContext", "build_context", "context_from_source"]
+__all__ = ["ModuleContext", "build_context", "context_from_source", "source_text", "walk"]
 
 #: ``# repro: noqa`` (blanket) or ``# repro: noqa[DET001,NUM001]``.
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Za-z0-9_,\s]*)\])?")
+
+
+def walk(node: ast.AST) -> tuple[ast.AST, ...]:
+    """Every node under ``node`` (itself included), in :func:`ast.walk` order.
+
+    The rules walk the same module trees and function bodies many times
+    over (once per rule, and again on every fixpoint round), so both the
+    flattened walk and each node's direct children are memoised on the
+    nodes themselves.  The checker never rewrites a tree after parsing,
+    so the memo cannot go stale.
+    """
+    cached = node.__dict__.get("_repro_walk")
+    if cached is not None:
+        return cached
+    out = [node]
+    # Breadth-first: the list grows while it is iterated, as ast.walk's
+    # queue does.
+    for current in out:
+        children = current.__dict__.get("_repro_children")
+        if children is None:
+            children = current._repro_children = tuple(ast.iter_child_nodes(current))
+        out.extend(children)
+    nodes = tuple(out)
+    node._repro_walk = nodes
+    return nodes
+
+
+def source_text(node: ast.AST) -> str:
+    """:func:`ast.unparse` of ``node``, memoised on the node like :func:`walk`."""
+    text = node.__dict__.get("_repro_text")
+    if text is None:
+        text = node._repro_text = ast.unparse(node)
+    return text
 
 
 def _scan_noqa(lines: list[str]) -> dict[int, frozenset[str] | None]:
@@ -65,7 +98,7 @@ def _build_imports(
     """(local name -> dotted origin, set of all imported dotted modules)."""
     table: dict[str, str] = {}
     modules: set[str] = set()
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 modules.add(alias.name)

@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.devtools.context import ModuleContext, context_from_source
+from repro.devtools.context import ModuleContext, context_from_source, source_text, walk
 
 __all__ = [
     "CallGraph",
@@ -248,6 +248,8 @@ class ProjectIndex:
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleContext] = {}
+        #: First dotted component of every indexed module (``repro``, ...).
+        self.top_packages: set[str] = set()
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         #: Per-module top-level definition table: name -> qualname.
@@ -267,6 +269,7 @@ class ProjectIndex:
 
     def _index_module(self, ctx: ModuleContext) -> None:
         self.modules[ctx.module] = ctx
+        self.top_packages.add(ctx.module.split(".", 1)[0])
         defs = self.module_defs.setdefault(ctx.module, {})
         for node in ctx.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -699,7 +702,7 @@ class ProjectIndex:
         local_defs: dict[str, str] | None = None,
     ) -> CallSite:
         func = call.func
-        expr = ast.unparse(func)
+        expr = source_text(func)
 
         def site(kind: str, target: str | None = None, reason: str = "", bound: bool = False) -> CallSite:
             return CallSite(
@@ -898,7 +901,7 @@ class ProjectIndex:
         sites: list[CallSite] = []
 
         def scan_expr(expr: ast.expr) -> None:
-            for node in ast.walk(expr):
+            for node in walk(expr):
                 if isinstance(node, ast.Call):
                     sites.append(
                         self.classify_call(node, scope, ctx, caller=caller, local_defs=local_defs)
@@ -979,8 +982,7 @@ def _block_nested_defs(stmts: list[ast.stmt]) -> list[ast.FunctionDef | ast.Asyn
 
 def _is_project_dotted(dotted: str, index: ProjectIndex) -> bool:
     """Whether a dotted name lives under any indexed top-level package."""
-    head = dotted.split(".", 1)[0]
-    return any(m == head or m.startswith(head + ".") for m in index.modules)
+    return dotted.split(".", 1)[0] in index.top_packages
 
 
 def _class_has_external_bases(

@@ -42,7 +42,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.devtools.context import ModuleContext
+from repro.devtools.context import ModuleContext, walk
 from repro.devtools.graph import FunctionInfo, ProjectIndex
 
 __all__ = [
@@ -1250,23 +1250,23 @@ _STACK_CALLS = frozenset(
 def _loop_bound_names(loop: ast.For) -> set[str]:
     """Names bound by the loop target or assigned inside its body."""
     names: set[str] = set()
-    for sub in ast.walk(loop.target):
+    for sub in walk(loop.target):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
     for stmt in loop.body:
-        for sub in ast.walk(stmt):
+        for sub in walk(stmt):
             if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
                 for t in targets:
-                    for n in ast.walk(t):
+                    for n in walk(t):
                         if isinstance(n, ast.Name):
                             names.add(n.id)
             elif isinstance(sub, ast.For):
-                for n in ast.walk(sub.target):
+                for n in walk(sub.target):
                     if isinstance(n, ast.Name):
                         names.add(n.id)
             elif isinstance(sub, ast.comprehension):
-                for n in ast.walk(sub.target):
+                for n in walk(sub.target):
                     if isinstance(n, ast.Name):
                         names.add(n.id)
     return names
@@ -1289,7 +1289,7 @@ class _HotPathScan:
         fn = self.interp.fn.node
         suffix = f" (hot via {self.hot_via})"
         # np.append anywhere in a hot function is O(n) per element.
-        for node in ast.walk(fn):
+        for node in walk(fn):
             if isinstance(node, ast.Call) and self.ctx.resolve(node.func) == "numpy.append":
                 self.findings.append(
                     NumericFinding(
@@ -1301,7 +1301,7 @@ class _HotPathScan:
                 )
         list_lits = {
             t.id
-            for stmt in ast.walk(fn)
+            for stmt in walk(fn)
             if isinstance(stmt, ast.Assign)
             and isinstance(stmt.value, ast.List)
             and not stmt.value.elts
@@ -1309,7 +1309,7 @@ class _HotPathScan:
             if isinstance(t, ast.Name)
         }
         stacked = self._stacked_lists(fn)
-        for loop in (n for n in ast.walk(fn) if isinstance(n, ast.For)):
+        for loop in (n for n in walk(fn) if isinstance(n, ast.For)):
             self._check_per_element(loop, suffix)
             self._check_append_then_stack(loop, list_lits & stacked, suffix)
             self._check_loop_invariant_alloc(loop, suffix)
@@ -1317,7 +1317,7 @@ class _HotPathScan:
 
     def _stacked_lists(self, fn: ast.AST) -> set[str]:
         out: set[str] = set()
-        for node in ast.walk(fn):
+        for node in walk(fn):
             if (
                 isinstance(node, ast.Call)
                 and self.ctx.resolve(node.func) in _STACK_CALLS
@@ -1355,7 +1355,7 @@ class _HotPathScan:
             )
 
         for stmt in loop.body:
-            for node in ast.walk(stmt):
+            for node in walk(stmt):
                 # Store: out[i] = ...   Load in arithmetic: ... + a[i]
                 if isinstance(node, ast.Assign):
                     for t in node.targets:
@@ -1387,7 +1387,7 @@ class _HotPathScan:
         if not candidates:
             return
         for stmt in loop.body:
-            for node in ast.walk(stmt):
+            for node in walk(stmt):
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -1415,7 +1415,7 @@ class _HotPathScan:
     def _check_loop_invariant_alloc(self, loop: ast.For, suffix: str) -> None:
         bound = _loop_bound_names(loop)
         for stmt in loop.body:
-            for node in ast.walk(stmt):
+            for node in walk(stmt):
                 if not (
                     isinstance(node, ast.Call)
                     and self.ctx.resolve(node.func) in _ALLOC_CALLS
@@ -1424,7 +1424,7 @@ class _HotPathScan:
                 mentions_bound = any(
                     isinstance(n, ast.Name) and n.id in bound
                     for arg in list(node.args) + [kw.value for kw in node.keywords]
-                    for n in ast.walk(arg)
+                    for n in walk(arg)
                 )
                 if not mentions_bound:
                     self.findings.append(
@@ -1493,7 +1493,7 @@ def _mutated_globals(index: ProjectIndex) -> dict[str, set[str]]:
     out: dict[str, set[str]] = {}
     for module, ctx in index.modules.items():
         names: set[str] = set()
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if isinstance(node, ast.Global):
                 names.update(node.names)
         if names:
@@ -1531,7 +1531,7 @@ def _purity_info(
     impure_calls: dict[ast.Call, str] = {}
     tscope = index._scope_for(fn, ctx)
     local_names: set[str] = set(fn.params)
-    for node in ast.walk(fn.node):
+    for node in walk(fn.node):
         if isinstance(node, ast.Assign):
             bindings.append((list(node.targets), node.value))
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -1567,7 +1567,7 @@ def _purity_info(
                 project_calls[node] = site.target
     for target_list, _ in bindings:
         for target in target_list:
-            for sub in ast.walk(target):
+            for sub in walk(target):
                 if isinstance(sub, ast.Name):
                     local_names.add(sub.id)
     module_mutated = mutated.get(fn.module, set())
@@ -1600,7 +1600,7 @@ def _return_impurity(
         return None
 
     def expr_reason(expr: ast.AST, tainted: set[str]) -> str | None:
-        for node in ast.walk(expr):
+        for node in walk(expr):
             if isinstance(node, ast.Call):
                 reason = call_reason(node)
                 if reason is not None:
@@ -1624,7 +1624,7 @@ def _return_impurity(
             if reason is None:
                 continue
             for target in targets:
-                for sub in ast.walk(target):
+                for sub in walk(target):
                     if isinstance(sub, ast.Name) and sub.id not in tainted:
                         tainted.add(sub.id)
                         taint_why[sub.id] = reason
@@ -1660,7 +1660,7 @@ class CacheFeed:
 
 def _cache_attr_in(expr: ast.expr) -> str | None:
     """Name of a ``*_cache`` attribute anywhere under ``expr``, if any."""
-    for node in ast.walk(expr):
+    for node in walk(expr):
         if isinstance(node, ast.Attribute) and (
             node.attr.endswith("_cache") or node.attr == "cache"
         ):
@@ -1671,11 +1671,11 @@ def _cache_attr_in(expr: ast.expr) -> str | None:
 def _feed_roots(info: _PurityInfo, value_expr: ast.expr) -> set[str]:
     """Project functions whose results flow into ``value_expr`` (backward taint)."""
     needed = {
-        n.id for n in ast.walk(value_expr) if isinstance(n, ast.Name)
+        n.id for n in walk(value_expr) if isinstance(n, ast.Name)
     }
     roots = {
         info.project_calls[c]
-        for c in ast.walk(value_expr)
+        for c in walk(value_expr)
         if isinstance(c, ast.Call) and c in info.project_calls
     }
     changed = True
@@ -1685,11 +1685,11 @@ def _feed_roots(info: _PurityInfo, value_expr: ast.expr) -> set[str]:
             hit = any(
                 isinstance(sub, ast.Name) and sub.id in needed
                 for t in targets
-                for sub in ast.walk(t)
+                for sub in walk(t)
             )
             if not hit:
                 continue
-            for node in ast.walk(value):
+            for node in walk(value):
                 if isinstance(node, ast.Call) and node in info.project_calls:
                     if info.project_calls[node] not in roots:
                         roots.add(info.project_calls[node])
@@ -1875,7 +1875,7 @@ class NumericAnalysis:
         # (b) subscript stores into ``*_cache`` attributes (decision cache).
         for qual, info in self._purity_infos.items():
             fn = info.fn
-            for node in ast.walk(fn.node):
+            for node in walk(fn.node):
                 if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
                     continue
                 target = node.targets[0]

@@ -37,7 +37,7 @@ from types import SimpleNamespace
 from typing import Iterable
 
 from repro.devtools.concurrency import get_analysis
-from repro.devtools.context import ModuleContext
+from repro.devtools.context import ModuleContext, walk
 from repro.devtools.findings import Finding
 from repro.devtools.rules.base import Rule, register
 from repro.devtools.rules.locking import _CONSTRUCTION_METHODS, _MUTATOR_METHODS, _self_attr
@@ -167,7 +167,7 @@ class THR002SharedStateRace(Rule):
                 continue
             declared_global = {
                 name
-                for node in ast.walk(fn.node)
+                for node in walk(fn.node)
                 if isinstance(node, ast.Global)
                 for name in node.names
             }
@@ -217,7 +217,7 @@ def _global_mutations(fn: ast.AST, module_locks: frozenset[str]):
                     for target in targets:
                         if isinstance(target, ast.Name):
                             yield target.id, target, held
-                for node in ast.walk(stmt):
+                for node in walk(stmt):
                     if (
                         isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
@@ -364,7 +364,7 @@ class RES001ResourceLifetime(Rule):
         if not ctx.in_package("repro"):
             return []
         findings: list[Finding] = []
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 findings.extend(self._check_function(ctx, node))
         return findings
@@ -373,12 +373,12 @@ class RES001ResourceLifetime(Rule):
     def _check_function(self, ctx: ModuleContext, fn) -> list[Finding]:
         parents: dict[int, ast.AST] = {}
         with_exprs: set[int] = set()
-        for node in ast.walk(fn):
+        for node in walk(fn):
             for child in ast.iter_child_nodes(node):
                 parents.setdefault(id(child), node)
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
-                    for sub in ast.walk(item.context_expr):
+                    for sub in walk(item.context_expr):
                         with_exprs.add(id(sub))
 
         acquisitions = self._acquisitions(ctx, fn, with_exprs)
@@ -394,7 +394,7 @@ class RES001ResourceLifetime(Rule):
     def _acquisitions(self, ctx, fn, with_exprs):
         """(local name, statement, call node, label) acquisition events."""
         out = []
-        for node in ast.walk(fn):
+        for node in walk(fn):
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                 if id(node.value) in with_exprs:
                     continue
@@ -423,7 +423,7 @@ class RES001ResourceLifetime(Rule):
     def _classify(self, ctx, fn, name, acq_stmt, call, label, parents):
         releases: list[ast.AST] = []
         escapes = False
-        for node in ast.walk(fn):
+        for node in walk(fn):
             if node is acq_stmt:
                 continue
             if isinstance(node, ast.Call):
@@ -450,12 +450,12 @@ class RES001ResourceLifetime(Rule):
                     isinstance(n, ast.Name)
                     and n.id == name
                     and not isinstance(parents.get(id(n)), ast.Attribute)
-                    for n in ast.walk(value)
+                    for n in walk(value)
                 ):
                     escapes = True
             elif isinstance(node, ast.Assign):
                 rhs_uses = any(
-                    isinstance(n, ast.Name) and n.id == name for n in ast.walk(node.value)
+                    isinstance(n, ast.Name) and n.id == name for n in walk(node.value)
                 )
                 plain_rebind = all(
                     isinstance(t, ast.Name) for t in node.targets
@@ -465,7 +465,7 @@ class RES001ResourceLifetime(Rule):
             elif isinstance(node, (ast.List, ast.Tuple, ast.Dict, ast.Set)):
                 if any(
                     isinstance(n, ast.Name) and n.id == name
-                    for n in ast.walk(node)
+                    for n in walk(node)
                 ) and id(node) not in (id(t) for t in getattr(acq_stmt, "targets", [])):
                     escapes = True
         if escapes:
@@ -510,7 +510,7 @@ class RES001ResourceLifetime(Rule):
         while current is not None:
             if isinstance(current, ast.Try):
                 in_finally = any(
-                    child is stmt or any(child is sub for sub in ast.walk(stmt))
+                    child is stmt or any(child is sub for sub in walk(stmt))
                     for stmt in current.finalbody
                 )
                 if in_finally:
@@ -526,7 +526,7 @@ class RES001ResourceLifetime(Rule):
         both sit in the same block, any can-raise statement between them
         leaks the resource before the finally exists.
         """
-        if any(acq_stmt is s or any(acq_stmt is n for n in ast.walk(s)) for s in shield.body):
+        if any(acq_stmt is s or any(acq_stmt is n for n in walk(s)) for s in shield.body):
             return None
         acq_parent = parents.get(id(acq_stmt))
         shield_parent = parents.get(id(shield))
@@ -546,7 +546,7 @@ class RES001ResourceLifetime(Rule):
     def _risky_between(fn, acq_stmt, release_call) -> int | None:
         """First can-raise line between acquisition and an unprotected release."""
         lo, hi = acq_stmt.lineno, release_call.lineno
-        for node in ast.walk(fn):
+        for node in walk(fn):
             if not isinstance(node, (ast.Call, ast.Raise)):
                 continue
             if node is release_call or node is getattr(acq_stmt, "value", None):
@@ -557,7 +557,7 @@ class RES001ResourceLifetime(Rule):
 
 
 def _first_risky_line(stmt: ast.stmt) -> int | None:
-    for node in ast.walk(stmt):
+    for node in walk(stmt):
         if isinstance(node, (ast.Call, ast.Raise)):
             return node.lineno
     return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.devtools.context import ModuleContext
+from repro.devtools.context import ModuleContext, walk
 from repro.devtools.findings import Finding
 from repro.devtools.rules.base import Rule, register
 
@@ -73,7 +73,7 @@ class DET001AmbientEntropy(Rule):
         if not ctx.in_package(*SEEDED_PACKAGES):
             return []
         findings: list[Finding] = []
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             qualified = ctx.resolve(node.func)
@@ -134,14 +134,14 @@ class _OwnCalls(ast.NodeVisitor):
 def _references_any(node: ast.Call, names: set[str]) -> bool:
     """Whether any argument subtree of the call mentions one of ``names``."""
     for arg in list(node.args) + [kw.value for kw in node.keywords]:
-        for sub in ast.walk(arg):
+        for sub in walk(arg):
             if isinstance(sub, ast.Name) and sub.id in names:
                 return True
     return False
 
 
 def _mentions(tree: ast.AST, names: set[str]) -> bool:
-    return any(isinstance(sub, ast.Name) and sub.id in names for sub in ast.walk(tree))
+    return any(isinstance(sub, ast.Name) and sub.id in names for sub in walk(tree))
 
 
 def _none_guarded_calls(fn: ast.AST, names: set[str]) -> set[ast.Call]:
@@ -151,7 +151,7 @@ def _none_guarded_calls(fn: ast.AST, names: set[str]) -> set[ast.Call]:
     statement form ``if rng is None: rng = default_rng(0)``.
     """
     guarded: set[ast.Call] = set()
-    for node in ast.walk(fn):
+    for node in walk(fn):
         if isinstance(node, ast.IfExp) and _mentions(node.test, names):
             branches: list[ast.AST] = [node.body, node.orelse]
         elif isinstance(node, ast.If) and _mentions(node.test, names):
@@ -159,7 +159,7 @@ def _none_guarded_calls(fn: ast.AST, names: set[str]) -> set[ast.Call]:
         else:
             continue
         for branch in branches:
-            guarded.update(sub for sub in ast.walk(branch) if isinstance(sub, ast.Call))
+            guarded.update(sub for sub in walk(branch) if isinstance(sub, ast.Call))
     return guarded
 
 
@@ -184,7 +184,7 @@ class DET002GeneratorThreading(Rule):
             return []
         findings: list[Finding] = []
         # (a) zero-argument factory calls anywhere: OS entropy.
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             qualified = ctx.resolve(node.func)
@@ -198,7 +198,7 @@ class DET002GeneratorThreading(Rule):
                     )
                 )
         # (b) rng-parameterised functions must thread the rng, not re-seed.
-        for fn in ast.walk(ctx.tree):
+        for fn in walk(ctx.tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             rng_params = {p for p in _param_names(fn) if p == "rng" or p.endswith("_rng")}

@@ -35,7 +35,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.devtools.context import ModuleContext
+from repro.devtools.context import ModuleContext, walk
 from repro.devtools.findings import Finding
 from repro.devtools.rules.base import Rule, register
 
@@ -126,7 +126,7 @@ def _mutation_targets(stmt: ast.stmt) -> list[tuple[str, ast.AST]]:
 
     # In-place container mutation: self.X.append(...) etc., anywhere in
     # the statement's expressions (including call results being assigned).
-    for node in ast.walk(stmt):
+    for node in walk(stmt):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -157,7 +157,7 @@ class THR001LockDiscipline(Rule):
         if not ctx.in_package("repro"):
             return []
         findings: list[Finding] = []
-        for cls in ast.walk(ctx.tree):
+        for cls in walk(ctx.tree):
             if isinstance(cls, ast.ClassDef):
                 findings.extend(self._check_class(ctx, cls))
         return findings
@@ -165,7 +165,7 @@ class THR001LockDiscipline(Rule):
     # ------------------------------------------------------------------
     def _lock_attrs(self, ctx: ModuleContext, cls: ast.ClassDef) -> set[str]:
         locks: set[str] = set()
-        for node in ast.walk(cls):
+        for node in walk(cls):
             if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
                 continue
             if ctx.resolve(node.value.func) not in _LOCK_FACTORIES:

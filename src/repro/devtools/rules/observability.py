@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.devtools.context import ModuleContext
+from repro.devtools.context import ModuleContext, walk
 from repro.devtools.findings import Finding
 from repro.devtools.rules.base import Rule, register
 
@@ -50,7 +50,7 @@ class OBS001AdHocReporting(Rule):
             return []
         uses_obs = ctx.imports_module("repro.obs") or ctx.imports.get("obs") == "repro.obs"
         findings: list[Finding] = []
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             if (

@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.devtools.context import ModuleContext
+from repro.devtools.context import ModuleContext, walk
 from repro.devtools.findings import Finding
 from repro.devtools.rules.base import Rule, register
 from repro.devtools.rules.determinism import (
@@ -64,7 +64,7 @@ def _tainted_names(fn: ast.AST, params: set[str]) -> set[str]:
     changed = True
     while changed:
         changed = False
-        for node in ast.walk(fn):
+        for node in walk(fn):
             targets: list[ast.expr] = []
             value: ast.expr | None = None
             if isinstance(node, ast.Assign):
@@ -84,7 +84,7 @@ def _tainted_names(fn: ast.AST, params: set[str]) -> set[str]:
             if value is None or not _mentions(value, tainted):
                 continue
             for target in targets:
-                for sub in ast.walk(target):
+                for sub in walk(target):
                     if isinstance(sub, ast.Name) and sub.id not in tainted:
                         tainted.add(sub.id)
                         changed = True
@@ -146,7 +146,7 @@ class DET003SeedLineage(Rule):
         for stmt in ctx.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            for node in ast.walk(stmt):
+            for node in walk(stmt):
                 if isinstance(node, ast.Call) and ctx.resolve(node.func) in RNG_FACTORIES:
                     if node.args or node.keywords:  # zero-arg is DET002's finding
                         yield self.finding(
@@ -155,7 +155,7 @@ class DET003SeedLineage(Rule):
                             "module-level RNG construction in a seeded package — "
                             "roots must be created by the entry point and threaded in",
                         )
-        for fn in ast.walk(ctx.tree):
+        for fn in walk(ctx.tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             params = set(_param_names(fn))

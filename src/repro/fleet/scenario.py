@@ -158,7 +158,6 @@ class Scenario:
     #: Serving configuration for the per-node services.
     quantize_decimals: int = 3
     cache_size: int = 512
-    fused: bool = True
     max_samples_per_run: int = 4
 
     def __post_init__(self) -> None:

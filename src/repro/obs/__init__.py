@@ -14,14 +14,15 @@ Three orthogonal pieces share this package (see DESIGN.md §10):
 
 Three consumer modules sit on top of the emitters (DESIGN.md §15):
 
-* :mod:`repro.obs.analyze` — span-tree reconstruction, self- vs
-  cumulative-time attribution, critical path, collapsed-stack
+* :mod:`repro.obs.analyze` — the one trace reader: span-tree
+  reconstruction, self- vs cumulative-time attribution with latency
+  percentiles, instant-event counts, critical path, collapsed-stack
   flamegraph export, and per-phase diffs between two runs.
 * :mod:`repro.obs.store` — append-only, manifest-keyed run-history
-  store ingesting bench payloads, fleet metrics, service stats and
-  manifests into one queryable trajectory.
-* :mod:`repro.obs.report` — ``repro report``: trajectory tables and the
-  >10 % hot-path regression gate that CI runs.
+  store of bench payloads, one queryable trajectory per bench.
+* :mod:`repro.obs.report` — ``repro report``: the one bench-file
+  writer, trajectory tables and the >10 % hot-path regression gate
+  that CI runs.
 
 The instrumentation contract for the rest of the codebase: importing
 and calling into ``repro.obs`` must never perturb numerics, RNG
@@ -32,11 +33,13 @@ asserted bitwise-identical to the untraced run.
 from repro.obs.analyze import (
     DiffRow,
     SpanNode,
+    analysis,
     attribution,
     build_span_forest,
     critical_path,
     diff_attribution,
     forest_from_file,
+    load_events,
     render_attribution,
     render_critical_path,
     render_diff,
@@ -68,6 +71,7 @@ from repro.obs.report import (
     evaluate_gate,
     load_bench_payloads,
     render_report,
+    write_bench,
 )
 from repro.obs.store import (
     FileLock,
@@ -76,16 +80,7 @@ from repro.obs.store import (
     RunStore,
     TrackedMetric,
     record_from_bench_payload,
-    record_from_fleet_metrics,
-    record_from_manifest,
-    record_from_service_stats,
     tracked_metrics,
-)
-from repro.obs.summarize import (
-    load_events,
-    render_summary,
-    summarize_events,
-    summarize_file,
 )
 from repro.obs.trace import (
     Span,
@@ -126,17 +121,14 @@ __all__ = [
     "config_hash",
     "git_describe",
     "write_manifest",
-    # summaries
-    "load_events",
-    "summarize_events",
-    "summarize_file",
-    "render_summary",
     # analyze
+    "load_events",
     "SpanNode",
     "DiffRow",
     "build_span_forest",
     "forest_from_file",
     "attribution",
+    "analysis",
     "critical_path",
     "diff_attribution",
     "to_collapsed",
@@ -152,12 +144,10 @@ __all__ = [
     "TrackedMetric",
     "tracked_metrics",
     "record_from_bench_payload",
-    "record_from_fleet_metrics",
-    "record_from_service_stats",
-    "record_from_manifest",
     # report
     "collect_rows",
     "evaluate_gate",
     "load_bench_payloads",
     "render_report",
+    "write_bench",
 ]

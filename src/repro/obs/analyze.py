@@ -1,12 +1,14 @@
 """Trace analytics: span trees, time attribution, flamegraphs, run diffs.
 
 :mod:`repro.obs.trace` emits a *flat* stream of span/event records (one
-JSON object per closed span).  This module is the consumer side: it
-reconstructs the span forest a run executed, attributes time to each
-span (cumulative vs *self* — the time a span spent outside its traced
-children), extracts the critical path, exports collapsed-stack
-flamegraph input (``flamegraph.pl`` / speedscope compatible), and diffs
-two runs' trees into a per-phase delta table.
+JSON object per closed span).  This module is the one consumer of that
+stream (``repro obs analyze``): it reconstructs the span forest a run
+executed, attributes time to each span name (count, cumulative vs
+*self* — the time a span spent outside its traced children — and the
+latency percentiles of its durations), counts instant events, extracts
+the critical path, exports collapsed-stack flamegraph input
+(``flamegraph.pl`` / speedscope compatible), and diffs two runs' trees
+into a per-phase delta table.
 
 Reconstruction facts the tracer guarantees (asserted by the hypothesis
 suite in ``tests/obs/test_properties.py``):
@@ -28,16 +30,19 @@ traces still analyze.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs.summarize import load_events
+import numpy as np
 
 __all__ = [
+    "load_events",
     "SpanNode",
     "build_span_forest",
     "forest_from_file",
     "attribution",
+    "analysis",
     "critical_path",
     "to_collapsed",
     "write_collapsed",
@@ -47,6 +52,23 @@ __all__ = [
     "render_critical_path",
     "render_diff",
 ]
+
+
+def load_events(path: str | Path) -> list[dict]:
+    """Parse a JSONL trace; tolerates a truncated final line (crash tail)."""
+    events: list[dict] = []
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            events.append(json.loads(line))
+        except json.JSONDecodeError:
+            if i == len(lines) - 1:
+                break  # interrupted mid-write; everything before is good
+            raise
+    return events
 
 
 @dataclass
@@ -64,6 +86,8 @@ class SpanNode:
     children: list["SpanNode"] = field(default_factory=list)
     #: Time not covered by traced children (== dur_s for leaves).
     self_s: float = 0.0
+    #: Position of the record in the stream (emission = close order).
+    seq: int = 0
 
     def walk(self):
         """Yield this node then every descendant, depth-first pre-order."""
@@ -93,7 +117,7 @@ def build_span_forest(events: list[dict]) -> list[SpanNode]:
     """
     nodes: dict[int, SpanNode] = {}
     ordered: list[SpanNode] = []
-    for record in events:
+    for seq, record in enumerate(events):
         if record.get("type") not in ("span", "event"):
             continue
         node = SpanNode(
@@ -105,6 +129,7 @@ def build_span_forest(events: list[dict]) -> list[SpanNode]:
             dur_s=float(record.get("dur_s", 0.0)),
             kind=str(record.get("type")),
             attrs=dict(record.get("attrs") or {}),
+            seq=seq,
         )
         nodes[node.span_id] = node
         ordered.append(node)
@@ -137,22 +162,48 @@ def attribution(forest: list[SpanNode]) -> dict[str, dict]:
 
     Each row carries ``count``, cumulative time (``cum_s`` — sums every
     occurrence, so recursive same-name nests double-count, as in every
-    profiler), ``self_s``, and ``max_cum_s``.  Instant events are
-    excluded (they own no time).
+    profiler), ``self_s``, and the distribution of the name's durations:
+    ``mean_s``, ``p50_s``/``p90_s``/``p95_s``/``p99_s`` (linear
+    ``np.percentile``) and ``max_cum_s``.  Durations are taken in stream
+    order, so the sums equal those over the flat ``dur_s`` records.
+    Instant events are excluded (they own no time; :func:`analysis`
+    counts them).
     """
-    rows: dict[str, dict] = {}
+    by_name: dict[str, list[SpanNode]] = {}
     for root in forest:
         for node in root.walk():
-            if node.kind != "span":
-                continue
-            row = rows.setdefault(
-                node.name, {"count": 0, "cum_s": 0.0, "self_s": 0.0, "max_cum_s": 0.0}
-            )
-            row["count"] += 1
-            row["cum_s"] += node.dur_s
-            row["self_s"] += node.self_s
-            row["max_cum_s"] = max(row["max_cum_s"], node.dur_s)
+            if node.kind == "span":
+                by_name.setdefault(node.name, []).append(node)
+    rows: dict[str, dict] = {}
+    for name, nodes in by_name.items():
+        nodes.sort(key=lambda n: n.seq)
+        durs = np.array([n.dur_s for n in nodes])
+        rows[name] = {
+            "count": len(nodes),
+            "cum_s": float(durs.sum()),
+            "self_s": sum(n.self_s for n in nodes),
+            "mean_s": float(durs.mean()),
+            **{f"p{q}_s": float(np.percentile(durs, q)) for q in (50, 90, 95, 99)},
+            "max_cum_s": float(durs.max()),
+        }
     return rows
+
+
+def analysis(forest: list[SpanNode]) -> dict:
+    """JSON-ready trace report: record and thread counts, the
+    :func:`attribution` rows under ``spans``, and under ``events`` how
+    often each instant event (early stop, cache clear, ...) fired."""
+    nodes = [node for root in forest for node in root.walk()]
+    events: dict[str, int] = {}
+    for node in nodes:
+        if node.kind == "event":
+            events[node.name] = events.get(node.name, 0) + 1
+    return {
+        "records": len(nodes),
+        "threads": len({node.thread for node in nodes}),
+        "spans": attribution(forest),
+        "events": events,
+    }
 
 
 def critical_path(forest: list[SpanNode]) -> list[SpanNode]:
@@ -253,7 +304,7 @@ def diff_attribution(
         return attribution(build_span_forest(events))
 
     a, b = rows_of(events_a), rows_of(events_b)
-    empty = {"count": 0, "cum_s": 0.0, "self_s": 0.0, "max_cum_s": 0.0}
+    empty = {"count": 0, "cum_s": 0.0, "self_s": 0.0}
     out = [
         DiffRow(
             name=name,
@@ -282,22 +333,31 @@ def _fmt_s(seconds: float) -> str:
 
 
 def render_attribution(forest: list[SpanNode], *, top: int | None = None) -> str:
-    """Fixed-width self/cumulative table, heaviest self-time first."""
-    rows = attribution(forest)
+    """Fixed-width self/cumulative/percentile table, heaviest self-time
+    first, followed by the instant-event counts and record totals."""
+    report = analysis(forest)
+    rows = report["spans"]
     total_self = sum(r["self_s"] for r in rows.values())
     lines = [
-        f"{'span':32s} {'count':>7s} {'self':>11s} {'cum':>11s} "
-        f"{'max':>11s} {'self%':>6s}"
+        f"{'span':32s} {'count':>7s} {'self':>11s} {'cum':>11s} {'mean':>11s} "
+        f"{'p50':>11s} {'p90':>11s} {'p95':>11s} {'p99':>11s} {'max':>11s} {'self%':>6s}"
     ]
     ranked = sorted(rows.items(), key=lambda kv: (-kv[1]["self_s"], kv[0]))
     if top is not None:
         ranked = ranked[:top]
+    columns = ("self_s", "cum_s", "mean_s", "p50_s", "p90_s", "p95_s", "p99_s", "max_cum_s")
     for name, row in ranked:
         share = 100.0 * row["self_s"] / total_self if total_self > 0.0 else 0.0
-        lines.append(
-            f"{name:32s} {row['count']:7d} {_fmt_s(row['self_s'])} "
-            f"{_fmt_s(row['cum_s'])} {_fmt_s(row['max_cum_s'])} {share:5.1f}%"
-        )
+        times = " ".join(_fmt_s(row[key]) for key in columns)
+        lines.append(f"{name:32s} {row['count']:7d} {times} {share:5.1f}%")
+    events = report["events"]
+    if events:
+        lines.append("")
+        lines.append("events:")
+        for name in sorted(events):
+            lines.append(f"  {name:30s} x{events[name]}")
+    lines.append("")
+    lines.append(f"{report['records']} records across {report['threads']} thread(s)")
     return "\n".join(lines)
 
 

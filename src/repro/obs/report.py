@@ -2,11 +2,16 @@
 
 The repo's perf contract lives in three committed files —
 ``BENCH_collection.json``, ``BENCH_serving.json``, ``BENCH_obs.json`` —
-each carrying a machine-local *current* measurement and the *best*
-record ever committed for every tracked hot-path metric.  This module
-turns those payloads (plus an optional :class:`~repro.obs.store.RunStore`
-history) into human reports and a CI verdict:
+in one shape: ``bench``, ``config``, a ``metrics`` table holding the
+machine-local *current* measurement and the *best* record ever
+committed for every tracked hot-path metric, and free-form ``detail``.
+This module writes those files and turns them (plus an optional
+:class:`~repro.obs.store.RunStore` history) into human reports and a CI
+verdict:
 
+* :func:`write_bench` — the one writer the ``benchmarks/test_perf_*.py``
+  harnesses call; it carries each metric's best forward while the
+  bench's ``config`` is unchanged;
 * :func:`load_bench_payloads` / :func:`collect_rows` — find the bench
   files under a root and extract their tracked metrics;
 * :func:`evaluate_gate` — one failure message per metric whose current
@@ -16,9 +21,7 @@ history) into human reports and a CI verdict:
   rendering of the full table (GitHub mode emits ``::error`` workflow
   annotations so regressions land inline on the PR).
 
-``repro report --gate`` exits 2 on any regression; the old
-``scripts/bench_gate.py`` is now a thin shim over :func:`evaluate_gate`
-restricted to the serving payload.
+``repro report --gate`` exits 2 on any regression.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "record_rows",
     "render_report",
     "default_root",
+    "write_bench",
 ]
 
 #: The committed trajectory files, in report order.
@@ -56,6 +60,40 @@ def default_root() -> Path:
     if any((cwd / name).exists() for name in BENCH_FILES):
         return cwd
     return Path(__file__).resolve().parents[3]
+
+
+def write_bench(
+    path: str | Path,
+    *,
+    bench: str,
+    config: dict,
+    metrics: dict[str, tuple[float, str]],
+    detail: dict | None = None,
+) -> dict:
+    """Write one bench file and return its payload.
+
+    ``metrics`` maps each tracked name to ``(current, better)`` with
+    ``better`` either ``"higher"`` or ``"lower"``.  When the file at
+    ``path`` already holds the same ``bench`` and ``config``, each
+    metric's ``best`` is the better of its recorded best and
+    ``current``; otherwise (first run, or a changed config) the
+    trajectory restarts at ``current``.
+    """
+    path = Path(path)
+    previous = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    same_config = previous.get("bench") == bench and previous.get("config") == config
+    recorded = previous.get("metrics", {}) if same_config else {}
+    table = {}
+    for name in sorted(metrics):
+        current, better = metrics[name]
+        best = current
+        if name in recorded:
+            pick = max if better == "higher" else min
+            best = pick(current, recorded[name]["best"])
+        table[name] = {"current": current, "best": best, "better": better}
+    payload = {"bench": bench, "config": config, "metrics": table, "detail": detail or {}}
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return payload
 
 
 def load_bench_payloads(root: str | Path) -> dict[str, dict]:

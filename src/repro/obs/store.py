@@ -3,21 +3,10 @@
 The three ``BENCH_*.json`` files pin each benchmark's *latest* and
 *best* numbers, but carry no history: once a new measurement overwrites
 ``current`` the old point is gone.  :class:`RunStore` keeps the
-trajectory — one JSON line per ingested result, keyed the way run
-manifests are keyed (bench name + config hash + ``git describe``), so a
-point can always be traced back to the commit and configuration that
-produced it.
-
-Anything the repo measures can be ingested through one schema:
-
-* the committed ``BENCH_*.json`` payloads
-  (:func:`record_from_bench_payload` — serving, collection, obs);
-* a fleet campaign's :meth:`FleetResult.metrics()
-  <repro.fleet.simulator.FleetResult.metrics>` dict
-  (:func:`record_from_fleet_metrics`);
-* a serving :class:`~repro.serving.service.ServiceStats` snapshot
-  (:func:`record_from_service_stats`);
-* a run manifest written by the CLI (:func:`record_from_manifest`).
+trajectory — one JSON line per ingested bench payload
+(:func:`record_from_bench_payload`), keyed the way run manifests are
+keyed (bench name + config hash + ``git describe``), so a point can
+always be traced back to the commit and configuration that produced it.
 
 The file format is deliberately JSONL, not a database: appends are one
 ``write`` + ``flush`` under a lock, history diffs cleanly in git, and a
@@ -33,7 +22,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.obs.manifest import RunManifest, config_hash, git_describe
+from repro.obs.manifest import config_hash, git_describe
 
 __all__ = [
     "FileLock",
@@ -43,9 +32,6 @@ __all__ = [
     "TrackedMetric",
     "tracked_metrics",
     "record_from_bench_payload",
-    "record_from_fleet_metrics",
-    "record_from_service_stats",
-    "record_from_manifest",
 ]
 
 STORE_FILENAME = "run_history.jsonl"
@@ -282,104 +268,53 @@ class TrackedMetric:
     higher_is_better: bool
 
 
-def _serving_metrics(payload: dict) -> list[TrackedMetric]:
-    bench = str(payload.get("bench", "serving"))
-    out = []
-    scenarios = payload.get("scenarios")
-    if not isinstance(scenarios, dict) or not scenarios:
-        raise ValueError(f"{bench}: no scenarios recorded — regenerate the bench file")
-    for name, record in sorted(scenarios.items()):
-        try:
-            out.append(
-                TrackedMetric(
-                    bench=bench,
-                    metric=f"{name}.selections_per_s",
-                    current=float(record["selections_per_s"]),
-                    best=float(record["best"]["selections_per_s"]),
-                    higher_is_better=True,
-                )
-            )
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(
-                f"{bench}: malformed scenario {name!r} (needs selections_per_s and best)"
-            ) from None
-    return out
-
-
-def _collection_metrics(payload: dict) -> list[TrackedMetric]:
-    bench = str(payload.get("bench", "collection"))
-    try:
-        current, best = payload["current"], payload["best"]
-        return [
-            TrackedMetric(
-                bench=bench,
-                metric=metric,
-                current=float(current[metric]),
-                best=float(best[metric]),
-                higher_is_better=True,
-            )
-            for metric in ("runs_per_s", "samples_per_s")
-        ]
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"{bench}: malformed payload (needs current/best rates)") from None
-
-
-def _obs_metrics(payload: dict) -> list[TrackedMetric]:
-    bench = str(payload.get("bench", "obs"))
-    try:
-        return [
-            TrackedMetric(
-                bench=bench,
-                metric="slowdown_vs_disabled",
-                current=float(payload["current"]["slowdown_vs_disabled"]),
-                best=float(payload["best"]["slowdown_vs_disabled"]),
-                higher_is_better=False,
-            )
-        ]
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"{bench}: malformed payload (needs current/best slowdown)") from None
-
-
-#: bench-name prefix -> extractor for the committed BENCH_* schemas.
-_EXTRACTORS = {
-    "serving": _serving_metrics,
-    "collection": _collection_metrics,
-    "obs": _obs_metrics,
-}
-
-
 def tracked_metrics(payload: dict) -> list[TrackedMetric]:
-    """The gated hot-path metrics of one ``BENCH_*.json`` payload.
+    """The gated metrics of one ``BENCH_*.json`` payload, by name.
 
-    Raises ``ValueError`` for an unrecognized or malformed payload so
-    the gate can distinguish "regressed" from "unusable".
+    Every bench file has one shape: ``bench``, ``config``, a ``metrics``
+    table mapping each tracked name to ``{current, best, better}``
+    (``better`` is ``"higher"`` or ``"lower"``), and free-form
+    ``detail``.  Raises ``ValueError`` for a malformed payload so the
+    gate can distinguish "regressed" from "unusable".
     """
     bench = payload.get("bench")
     if not isinstance(bench, str):
         raise ValueError("payload has no 'bench' name")
-    for prefix, extract in _EXTRACTORS.items():
-        if bench.startswith(prefix):
-            return extract(payload)
-    raise ValueError(f"unrecognized bench payload {bench!r}")
-
-
-# ----------------------------------------------------------------------
-# Ingestion adapters
-# ----------------------------------------------------------------------
-def _now() -> float:
-    return time.time()
+    metrics = payload.get("metrics")
+    if not isinstance(metrics, dict) or not metrics:
+        raise ValueError(f"{bench}: no metrics recorded — regenerate the bench file")
+    rows = []
+    for name in sorted(metrics):
+        entry = metrics[name]
+        try:
+            if entry["better"] not in ("higher", "lower"):
+                raise ValueError
+            rows.append(
+                TrackedMetric(
+                    bench=bench,
+                    metric=name,
+                    current=float(entry["current"]),
+                    best=float(entry["best"]),
+                    higher_is_better=entry["better"] == "higher",
+                )
+            )
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(
+                f"{bench}: malformed metric {name!r} (needs current, best and better)"
+            ) from None
+    return rows
 
 
 def record_from_bench_payload(payload: dict, *, source: str = "bench") -> RunRecord:
     """Normalize one ``BENCH_*.json`` payload into a store record."""
     tracked = tracked_metrics(payload)
-    config = payload.get("config") or payload.get("campaign") or {}
+    config = payload.get("config") or {}
     return RunRecord(
         schema=1,
         bench=tracked[0].bench,
         config_hash=config_hash(config),
         git=git_describe(Path(__file__).parent),
-        recorded_unix=_now(),
+        recorded_unix=time.time(),
         source=source,
         metrics={t.metric: t.current for t in tracked},
         meta={
@@ -387,81 +322,4 @@ def record_from_bench_payload(payload: dict, *, source: str = "bench") -> RunRec
             "best": {t.metric: t.best for t in tracked},
             "higher_is_better": {t.metric: t.higher_is_better for t in tracked},
         },
-    )
-
-
-def record_from_fleet_metrics(metrics: dict, *, source: str = "fleet") -> RunRecord:
-    """Ingest a ``FleetResult.metrics()`` dict (or its written JSON)."""
-    scenario = metrics.get("scenario", "?")
-    key = {"scenario": scenario, "seed": metrics.get("seed")}
-    numeric = {
-        name: float(value)
-        for name, value in metrics.items()
-        if isinstance(value, (int, float)) and not isinstance(value, bool)
-    }
-    return RunRecord(
-        schema=1,
-        bench=f"fleet-{scenario}",
-        config_hash=config_hash(key),
-        git=git_describe(Path(__file__).parent),
-        recorded_unix=_now(),
-        source=source,
-        metrics=numeric,
-        meta=key,
-    )
-
-
-def record_from_service_stats(stats, *, bench: str = "serving-service", source: str = "serving") -> RunRecord:
-    """Ingest a serving ``ServiceStats`` snapshot (lifetime counters)."""
-    metrics = {
-        "requests": float(stats.requests),
-        "batches": float(stats.batches),
-        "mean_batch_size": float(stats.mean_batch_size),
-        "cache_hits": float(stats.cache_hits),
-        "cache_misses": float(stats.cache_misses),
-        "hit_rate": float(stats.hit_rate),
-        "curves_computed": float(stats.curves_computed),
-        "measure_s": float(stats.measure_s),
-        "lookup_s": float(stats.lookup_s),
-        "predict_s": float(stats.predict_s),
-        "select_s": float(stats.select_s),
-    }
-    key = {"engine": stats.engine, "max_batch_size": stats.max_batch_size}
-    return RunRecord(
-        schema=1,
-        bench=bench,
-        config_hash=config_hash(key),
-        git=git_describe(Path(__file__).parent),
-        recorded_unix=_now(),
-        source=source,
-        metrics=metrics,
-        meta=key,
-    )
-
-
-def record_from_manifest(manifest: RunManifest | dict, *, source: str = "manifest") -> RunRecord:
-    """Ingest a run manifest (the object, or its parsed JSON dict).
-
-    Counter/gauge instruments land as their value; histograms land as
-    ``<name>.count`` / ``<name>.sum``.
-    """
-    data = manifest if isinstance(manifest, dict) else json.loads(manifest.to_json())
-    metrics: dict[str, float] = {"wall_time_s": float(data.get("wall_time_s", 0.0))}
-    for name, snap in (data.get("metrics") or {}).items():
-        if not isinstance(snap, dict):
-            continue
-        if snap.get("kind") == "histogram":
-            metrics[f"{name}.count"] = float(snap.get("count", 0.0))
-            metrics[f"{name}.sum"] = float(snap.get("sum", 0.0))
-        elif "value" in snap:
-            metrics[name] = float(snap["value"])
-    return RunRecord(
-        schema=1,
-        bench=f"run-{data.get('command', '?')}",
-        config_hash=str(data.get("config_hash", "")),
-        git=data.get("git"),
-        recorded_unix=float(data.get("started_unix") or _now()),
-        source=source,
-        metrics=metrics,
-        meta={"seed": data.get("seed"), "exit_code": data.get("exit_code")},
     )

@@ -636,11 +636,18 @@ class SelectionService:
         return batcher.submit(request)
 
     def close(self) -> None:
-        """Drain pending submissions and stop the dispatcher thread."""
+        """Drain pending submissions, stop the dispatcher thread, and
+        shut down the engine's shard workers (if any).
+
+        The service stays usable afterwards: later flushes infer
+        in-process.
+        """
         with self._lock:
             batcher, self._batcher = self._batcher, None
         if batcher is not None:
             batcher.close()
+        with self._lock:
+            self._engine.close()
 
     def __enter__(self) -> "SelectionService":
         return self

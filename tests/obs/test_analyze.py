@@ -13,6 +13,7 @@ import pytest
 
 from repro import obs
 from repro.obs.analyze import (
+    analysis,
     attribution,
     build_span_forest,
     critical_path,
@@ -114,9 +115,15 @@ class TestAttribution:
             "count": 1,
             "cum_s": pytest.approx(1.0),
             "self_s": pytest.approx(0.3),
+            "mean_s": pytest.approx(1.0),
+            "p50_s": pytest.approx(1.0),
+            "p90_s": pytest.approx(1.0),
+            "p95_s": pytest.approx(1.0),
+            "p99_s": pytest.approx(1.0),
             "max_cum_s": pytest.approx(1.0),
         }
         assert "tick" not in rows  # events own no time
+        assert analysis(build_span_forest(_sample_events()))["events"] == {"tick": 1}
 
     def test_repeated_names_aggregate(self):
         events = [
@@ -300,3 +307,55 @@ class TestGoldenServingTrace:
             obs.disable()
         forest = forest_from_file(trace)
         assert [n.name for n in critical_path(forest)][0] == "serving.flush"
+
+
+def assert_summary_matches_records(report: dict, events: list[dict]) -> None:
+    """Every per-name summary number equals the one computed directly
+    over that name's flat ``dur_s`` records (stream order)."""
+    import numpy as np
+
+    durations: dict[str, list[float]] = {}
+    instants: dict[str, int] = {}
+    for record in events:
+        if record["type"] == "span":
+            durations.setdefault(record["name"], []).append(record["dur_s"])
+        else:
+            instants[record["name"]] = instants.get(record["name"], 0) + 1
+    assert set(report["spans"]) == set(durations)
+    for name, durs in durations.items():
+        row, arr = report["spans"][name], np.asarray(durs)
+        assert row["count"] == len(durs)
+        assert row["cum_s"] == arr.sum()
+        assert row["mean_s"] == arr.mean()
+        assert row["max_cum_s"] == arr.max()
+        for q in (50, 90, 95, 99):
+            assert row[f"p{q}_s"] == np.percentile(arr, q)
+    assert report["events"] == instants
+    assert report["records"] == len(events)
+
+
+class TestSummaryColumns:
+    def test_golden_serving_trace_matches_flat_records(self, pipeline, tmp_path):
+        from repro.serving import SelectionService
+
+        trace = tmp_path / "t.jsonl"
+        obs.configure(trace)
+        try:
+            service = SelectionService(pipeline, max_batch_size=8)
+            for seed in range(3):
+                service.select_many(_feature_requests(8, seed=seed))
+            service.clear_cache()
+            service.select_many(_feature_requests(8, seed=0))
+        finally:
+            obs.disable()
+        events = obs.load_events(trace)
+        assert_summary_matches_records(analysis(forest_from_file(trace)), events)
+        assert analysis(forest_from_file(trace))["spans"]["serving.flush"]["count"] == 4
+
+    def test_events_and_threads_counted(self):
+        events = _sample_events() + [_span("other", 6, None, 0.5, thread="w-1")]
+        report = analysis(build_span_forest(events))
+        assert report["threads"] == 2
+        assert_summary_matches_records(report, events)
+        text = render_attribution(build_span_forest(events))
+        assert "events:" in text and "tick" in text

@@ -1,8 +1,9 @@
-"""`repro report` gate + rendering.
+"""`repro report` gate + rendering, and the one bench-file writer.
 
-The acceptance contract (ISSUE 8): the gate must reproduce the historic
-``scripts/bench_gate.py`` verdict on the *checked-in* BENCH files, and
-must catch an injected >10 % synthetic regression.
+The gate must reproduce the plain ``current < (1 - tolerance) * best``
+verdict on the *checked-in* BENCH files, must catch an injected >10 %
+synthetic regression, and must render the committed files byte for
+byte as pinned in ``report_pins/``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from repro.obs.report import (
     load_bench_payloads,
     record_rows,
     render_report,
+    write_bench,
 )
-from repro.obs.store import RunStore, TrackedMetric
+from repro.obs.store import RunStore, TrackedMetric, tracked_metrics
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -82,16 +84,14 @@ class TestCheckedInTrajectories:
         assert (default_root() / "BENCH_serving.json").exists()
 
     def test_matches_legacy_serving_verdict(self):
-        """Row-for-row parity with the old scripts/bench_gate.py check."""
+        """Row-for-row parity with the plain per-scenario serving check."""
         payload = json.loads((REPO_ROOT / "BENCH_serving.json").read_text())
         rows = [r for r in collect_rows({"BENCH_serving.json": payload}) if r.higher_is_better]
         for tolerance in (0.0, 0.10, 0.5):
-            ours = {f.row.metric.split(".")[0] for f in evaluate_gate(rows, tolerance=tolerance)}
+            ours = {f.row.metric for f in evaluate_gate(rows, tolerance=tolerance)}
             legacy = set()
-            for name, record in payload["scenarios"].items():
-                current = float(record["selections_per_s"])
-                best = float(record["best"]["selections_per_s"])
-                if current < (1.0 - tolerance) * best:
+            for name, entry in payload["metrics"].items():
+                if entry["current"] < (1.0 - tolerance) * entry["best"]:
                     legacy.add(name)
             assert ours == legacy
 
@@ -102,8 +102,8 @@ def _inject_regression(tmp_path, *, factor=0.8):
         shutil.copy(REPO_ROOT / name, tmp_path / name)
     path = tmp_path / "BENCH_serving.json"
     payload = json.loads(path.read_text())
-    record = payload["scenarios"]["hot"]
-    record["selections_per_s"] = factor * float(record["best"]["selections_per_s"])
+    entry = payload["metrics"]["hot.selections_per_s"]
+    entry["current"] = factor * entry["best"]
     path.write_text(json.dumps(payload, indent=2))
     return tmp_path
 
@@ -204,28 +204,60 @@ class TestReportCli:
         assert "::error ::" in capsys.readouterr().out
 
 
-class TestLegacyShim:
-    """scripts/bench_gate.py still honours its old exit-code contract."""
+class TestPinnedCheckoutReport:
+    """`repro report` on the committed bench files, byte for byte.
 
-    @pytest.fixture()
-    def shim(self):
-        import importlib.util
+    Re-running a ``benchmarks/test_perf_*.py`` writer rewrites those
+    files; regenerate the pins afterwards with
+    ``repro report --format FMT > tests/obs/report_pins/FMT.txt``.
+    """
 
-        spec = importlib.util.spec_from_file_location(
-            "bench_gate_shim", REPO_ROOT / "scripts" / "bench_gate.py"
+    @pytest.mark.parametrize("fmt", ["text", "markdown", "github"])
+    def test_output_matches_pin(self, fmt, capsys):
+        assert main(["report", "--root", str(REPO_ROOT), "--format", fmt]) == 0
+        pinned = (Path(__file__).parent / "report_pins" / f"{fmt}.txt").read_text()
+        assert capsys.readouterr().out == pinned
+
+
+class TestWriteBench:
+    CONFIG = {"n": 1}
+
+    def _write(self, path, current, *, config=None, better="higher", detail=None):
+        return write_bench(
+            path,
+            bench="toy-bench",
+            config=self.CONFIG if config is None else config,
+            metrics={"rate": (current, better)},
+            detail=detail,
         )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
 
-    def test_passes_on_checked_in_file(self, shim, capsys):
-        assert shim.main([]) == 0
-        assert "bench gate:" in capsys.readouterr().out
+    def test_best_carries_forward_while_config_unchanged(self, tmp_path):
+        path = tmp_path / "BENCH_toy.json"
+        self._write(path, 100.0)
+        payload = self._write(path, 80.0)
+        assert payload["metrics"]["rate"] == {"current": 80.0, "best": 100.0, "better": "higher"}
+        payload = self._write(path, 120.0)
+        assert payload["metrics"]["rate"]["best"] == 120.0
+        assert json.loads(path.read_text()) == payload
 
-    def test_exit_1_on_regression(self, shim, tmp_path, capsys):
-        root = _inject_regression(tmp_path)
-        assert shim.main([str(root / "BENCH_serving.json")]) == 1
-        assert "below the best record" in capsys.readouterr().err
+    def test_best_resets_when_config_changes(self, tmp_path):
+        path = tmp_path / "BENCH_toy.json"
+        self._write(path, 100.0)
+        payload = self._write(path, 80.0, config={"n": 2})
+        assert payload["metrics"]["rate"]["best"] == 80.0
 
-    def test_exit_2_on_missing_file(self, shim, tmp_path):
-        assert shim.main([str(tmp_path / "nope.json")]) == 2
+    def test_lower_is_better_keeps_minimum(self, tmp_path):
+        path = tmp_path / "BENCH_toy.json"
+        for current in (1.05, 1.02, 1.08):
+            payload = self._write(path, current, better="lower")
+        assert payload["metrics"]["rate"] == {"current": 1.08, "best": 1.02, "better": "lower"}
+
+    def test_written_file_is_what_the_gate_reads(self, tmp_path):
+        path = tmp_path / "BENCH_toy.json"
+        self._write(path, 100.0, detail={"note": "free-form"})
+        payload = self._write(path, 85.0)
+        (row,) = tracked_metrics(payload)
+        assert (row.bench, row.metric, row.current, row.best) == ("toy-bench", "rate", 85.0, 100.0)
+        assert payload["detail"] == {}
+        (failure,) = evaluate_gate([row])
+        assert failure.regression == pytest.approx(0.15)

@@ -1,4 +1,4 @@
-"""Run-history store: append/query round-trips and ingestion adapters."""
+"""Run-history store: append/query round-trips and bench-payload ingestion."""
 
 from __future__ import annotations
 
@@ -7,16 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from repro import obs
 from repro.obs.store import (
     FileLock,
     LockTimeout,
     RunRecord,
     RunStore,
     record_from_bench_payload,
-    record_from_fleet_metrics,
-    record_from_manifest,
-    record_from_service_stats,
     tracked_metrics,
 )
 
@@ -136,13 +132,13 @@ class TestFileLock:
 
 
 class TestTrackedMetrics:
-    """Extraction over the three *checked-in* BENCH payload schemas."""
+    """The one reader over the three *checked-in* BENCH payloads."""
 
     def test_serving_payload_tracks_every_scenario(self):
         payload = json.loads((REPO_ROOT / "BENCH_serving.json").read_text())
         rows = tracked_metrics(payload)
         names = {r.metric for r in rows}
-        assert {f"{s}.selections_per_s" for s in payload["scenarios"]} == names
+        assert {f"{s}.selections_per_s" for s in payload["detail"]["scenarios"]} == names
         assert all(r.higher_is_better for r in rows)
 
     def test_collection_payload_tracks_rates(self):
@@ -157,18 +153,19 @@ class TestTrackedMetrics:
         assert not row.higher_is_better
 
     def test_unknown_bench_rejected(self):
-        with pytest.raises(ValueError, match="unrecognized"):
+        with pytest.raises(ValueError, match="no metrics"):
             tracked_metrics({"bench": "mystery"})
         with pytest.raises(ValueError, match="bench"):
             tracked_metrics({})
 
     def test_malformed_serving_rejected(self):
-        with pytest.raises(ValueError, match="no scenarios"):
-            tracked_metrics({"bench": "serving-batch-throughput", "scenarios": {}})
-        with pytest.raises(ValueError, match="malformed"):
-            tracked_metrics(
-                {"bench": "serving-batch-throughput", "scenarios": {"cold": {}}}
-            )
+        with pytest.raises(ValueError, match="no metrics"):
+            tracked_metrics({"bench": "serving-batch-throughput", "metrics": {}})
+        for entry in ({}, {"current": 1.0, "best": 1.0}, {"current": 1.0, "best": 1.0, "better": "up"}):
+            with pytest.raises(ValueError, match="malformed"):
+                tracked_metrics(
+                    {"bench": "serving-batch-throughput", "metrics": {"cold.selections_per_s": entry}}
+                )
 
 
 class TestIngestion:
@@ -176,63 +173,21 @@ class TestIngestion:
         payload = json.loads((REPO_ROOT / "BENCH_obs.json").read_text())
         record = record_from_bench_payload(payload, source="BENCH_obs.json")
         assert record.bench == "obs-tracer-overhead"
-        assert record.metrics["slowdown_vs_disabled"] == payload["current"]["slowdown_vs_disabled"]
+        current = payload["metrics"]["slowdown_vs_disabled"]["current"]
+        assert record.metrics["slowdown_vs_disabled"] == current
         assert record.meta["higher_is_better"]["slowdown_vs_disabled"] is False
         assert len(record.config_hash) == 64
         RunStore(tmp_path / "h.jsonl").append(record)  # serializes cleanly
 
-    def test_fleet_metrics_record_from_golden(self, tmp_path):
-        metrics = json.loads(
-            (REPO_ROOT / "tests/golden/golden_fleet_baseline.json").read_text()
-        )
-        record = record_from_fleet_metrics(metrics)
-        assert record.bench == f"fleet-{metrics['scenario']}"
-        assert record.metrics["total_energy_j"] == metrics["total_energy_j"]
-        # Non-numeric fields (scenario name) stay out of the metric dict.
-        assert "scenario" not in record.metrics
-        store = RunStore(tmp_path / "h.jsonl")
-        store.append(record)
-        assert store.best(record.bench, "jobs_completed") == metrics["jobs_completed"]
-
-    def test_service_stats_record(self):
-        class FakeStats:
-            requests = 10
-            batches = 2
-            mean_batch_size = 5.0
-            max_batch_size = 8
-            cache_hits = 6
-            cache_misses = 4
-            hit_rate = 0.6
-            curves_computed = 4
-            measure_s = 0.1
-            lookup_s = 0.2
-            predict_s = 0.3
-            select_s = 0.4
-            engine = "exact"
-
-        record = record_from_service_stats(FakeStats())
-        assert record.bench == "serving-service"
-        assert record.metrics["hit_rate"] == pytest.approx(0.6)
-        assert record.meta == {"engine": "exact", "max_batch_size": 8}
-
-    def test_manifest_record(self):
-        run = obs.RunContext("train", ["train", "--seed", "3"], {"seed": 3})
-        registry = obs.MetricsRegistry()
-        registry.counter("train_rows_total", "rows").inc(42)
-        registry.histogram("epoch_seconds", "per-epoch").observe(0.5)
-        manifest = run.finish(exit_code=0, registry=registry)
-        record = record_from_manifest(manifest)
-        assert record.bench == "run-train"
-        assert record.config_hash == manifest.config_hash
-        assert record.metrics["train_rows_total"] == 42.0
-        assert record.metrics["epoch_seconds.count"] == 1.0
-        assert record.metrics["epoch_seconds.sum"] == pytest.approx(0.5)
-        assert record.meta["exit_code"] == 0
-
-    def test_manifest_record_from_parsed_json(self):
-        run = obs.RunContext("fleet", ["fleet"], {"scenario": "baseline"})
-        manifest = run.finish(exit_code=0)
-        parsed = json.loads(manifest.to_json())
-        record = record_from_manifest(parsed)
-        assert record.bench == "run-fleet"
-        assert record.git == manifest.git
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("BENCH_collection.json", "a72ce93bfb4035e51a5ee0d0e1f75f6f1c4fb2c52b99a494d72c159968050bd1"),
+            ("BENCH_serving.json", "702f1de2e46589dcf919a462c75e91099194b7445aa45d6487ff548c72513793"),
+            ("BENCH_obs.json", "5c03609740b39ac28c2643c51ad178837aabe9c751da6b294ed149e738bc502c"),
+        ],
+    )
+    def test_committed_config_hashes_are_stable(self, name, digest):
+        """Store history stays keyed the same across bench-file rewrites."""
+        payload = json.loads((REPO_ROOT / name).read_text())
+        assert record_from_bench_payload(payload).config_hash == digest

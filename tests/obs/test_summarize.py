@@ -1,4 +1,5 @@
-"""Trace summarizer: aggregation, rendering, corrupt-tail tolerance."""
+"""Per-span trace summary of `repro obs analyze`: counts, latency
+percentiles, instant events, rendering, corrupt-tail tolerance."""
 
 from __future__ import annotations
 
@@ -7,7 +8,17 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs.summarize import load_events, render_summary, summarize_events, summarize_file
+from repro.obs.analyze import (
+    analysis,
+    build_span_forest,
+    forest_from_file,
+    load_events,
+    render_attribution,
+)
+
+
+def _summary(events):
+    return analysis(build_span_forest(events))
 
 
 def _span(name, dur, thread="MainThread"):
@@ -17,25 +28,25 @@ def _span(name, dur, thread="MainThread"):
 class TestSummarize:
     def test_groups_spans_by_name(self):
         events = [_span("a", 0.1), _span("a", 0.3), _span("b", 0.2)]
-        summary = summarize_events(events)
+        summary = _summary(events)
         assert summary["spans"]["a"]["count"] == 2
-        assert summary["spans"]["a"]["total_s"] == pytest.approx(0.4)
+        assert summary["spans"]["a"]["cum_s"] == pytest.approx(0.4)
         assert summary["spans"]["a"]["mean_s"] == pytest.approx(0.2)
-        assert summary["spans"]["a"]["max_s"] == pytest.approx(0.3)
+        assert summary["spans"]["a"]["max_cum_s"] == pytest.approx(0.3)
         assert summary["spans"]["b"]["count"] == 1
 
     def test_percentiles_from_durations(self):
         events = [_span("a", d) for d in (0.1, 0.2, 0.3, 0.4, 0.5)]
-        row = summarize_events(events)["spans"]["a"]
+        row = _summary(events)["spans"]["a"]
         assert row["p50_s"] == pytest.approx(0.3)
         assert row["p90_s"] == pytest.approx(0.46)
         assert row["p95_s"] == pytest.approx(0.48)
-        assert row["p99_s"] <= row["max_s"]
+        assert row["p99_s"] <= row["max_cum_s"]
         assert row["p50_s"] <= row["p95_s"] <= row["p99_s"]
 
     def test_summary_is_json_ready(self):
         events = [_span("a", 0.1), {"type": "event", "name": "e", "thread": "t"}]
-        payload = json.dumps(summarize_events(events))
+        payload = json.dumps(_summary(events))
         restored = json.loads(payload)
         assert restored["spans"]["a"]["p95_s"] == pytest.approx(0.1)
         assert restored["events"] == {"e": 1}
@@ -46,24 +57,19 @@ class TestSummarize:
             _span("a", 0.1, thread="w-1"),
             {"type": "event", "name": "early_stop", "thread": "w-0"},
         ]
-        summary = summarize_events(events)
+        summary = _summary(events)
         assert summary["events"] == {"early_stop": 1}
         assert summary["threads"] == 2
         assert summary["records"] == 3
 
     def test_render_orders_by_total_and_honours_top(self):
         events = [_span("small", 0.001), _span("big", 1.0), _span("big", 1.0)]
-        summary = summarize_events(events)
-        text = render_summary(summary)
+        forest = build_span_forest(events)
+        text = render_attribution(forest)
         assert text.index("big") < text.index("small")
-        assert "small" not in render_summary(summary, top=1)
-        assert "p95" in text.splitlines()[2]
-
-    def test_render_tolerates_pre_p95_summaries(self):
-        summary = summarize_events([_span("a", 0.1)])
-        for row in summary["spans"].values():
-            row.pop("p95_s")
-        assert "a" in render_summary(summary)
+        assert "small" not in render_attribution(forest, top=1)
+        assert "p95" in text.splitlines()[0]
+        assert text.splitlines()[-1] == "3 records across 1 thread(s)"
 
 
 class TestLoadEvents:
@@ -75,7 +81,7 @@ class TestLoadEvents:
         obs.disable()
         events = load_events(path)
         assert [e["name"] for e in events] == ["tick", "x"]
-        assert summarize_file(path)["spans"]["x"]["count"] == 1
+        assert analysis(forest_from_file(path))["spans"]["x"]["count"] == 1
 
     def test_tolerates_truncated_final_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -91,8 +97,7 @@ class TestLoadEvents:
 
 class TestEndToEndTrace:
     """One traced process covering collection, training, serving, and
-    scheduling must summarize with all four span families present —
-    the ISSUE's acceptance shape for ``repro obs summarize``."""
+    scheduling must analyze with all four span families present."""
 
     def test_all_phases_visible_in_one_summary(self, tmp_path, tiny_models):
         from repro.cluster import FIFOScheduler, GPUNode, Job
@@ -130,8 +135,8 @@ class TestEndToEndTrace:
         finally:
             obs.disable()
 
-        summary = summarize_file(path)
-        spans = summary["spans"]
+        forest = forest_from_file(path)
+        spans = analysis(forest)["spans"]
         for family in (
             "telemetry.cell",      # telemetry sampling
             "nn.epoch",            # training epochs
@@ -145,8 +150,8 @@ class TestEndToEndTrace:
             assert family in spans, f"missing span family {family}"
             row = spans[family]
             assert row["count"] >= 1
-            assert 0.0 <= row["p50_s"] <= row["p99_s"] <= row["max_s"]
+            assert 0.0 <= row["p50_s"] <= row["p99_s"] <= row["max_cum_s"]
         assert spans["nn.epoch"]["count"] == 3
         assert spans["cluster.decide"]["count"] == 2
-        text = render_summary(summary)
+        text = render_attribution(forest)
         assert "nn.epoch" in text and "cluster.decide" in text

@@ -252,6 +252,24 @@ class TestServiceConfig:
         assert tight.selection("EDP").perf_degradation == 0.0
         assert free.selection("EDP").freq_mhz <= tight.selection("EDP").freq_mhz
 
+    def test_exit_stops_shard_workers(self, quiet_pipeline):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        requests = []
+        for name in ("lammps", "lstm", "resnet50"):
+            fv, _, t_max = features_at_max(quiet_pipeline.device, get_workload(name))
+            requests.append(SelectionRequest.from_features(fv, t_max, name=name))
+        with SelectionService(quiet_pipeline, shards=2) as service:
+            first = service.select_many(requests)
+            assert len(set(multiprocessing.active_children()) - before) == 2
+        assert set(multiprocessing.active_children()) <= before
+        assert service._engine._pool is None
+        # Still usable after close: later flushes infer in-process.
+        service.clear_cache()
+        for got, want in zip(service.select_many(requests), first):
+            assert_online_results_identical(want.to_online_result(), got.to_online_result())
+
     def test_run_online_many_rejects_foreign_service(self, pipeline_pair):
         pipe_a, pipe_b = pipeline_pair
         service = SelectionService(pipe_a)

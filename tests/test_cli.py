@@ -274,7 +274,7 @@ class TestObsCli:
         assert trace.exists()
         capsys.readouterr()  # drop the selection output
 
-        assert main(["obs", "summarize", str(trace)]) == 0
+        assert main(["obs", "analyze", str(trace)]) == 0
         out = capsys.readouterr().out
         # Per-stage span rows with counts and percentiles.
         for name in ("serving.flush", "serving.predict", "serving.select", "telemetry.cell"):
@@ -285,13 +285,17 @@ class TestObsCli:
         trace = tmp_path / "t.jsonl"
         assert main(["--trace", str(trace), "select", "--models", str(models), "--workloads", "lstm"]) == 0
         capsys.readouterr()
-        assert main(["obs", "summarize", str(trace), "--top", "1"]) == 0
+        assert main(["obs", "analyze", str(trace), "--top", "1"]) == 0
         out = capsys.readouterr().out
-        assert len([l for l in out.splitlines() if "." in l and "p50" not in l]) <= 3
+        table = out.split("\n\n")[0].splitlines()
+        assert "p50" in table[0] and len(table) == 2
 
     def test_summarize_missing_file_exit_code(self, tmp_path, capsys):
-        assert main(["obs", "summarize", str(tmp_path / "nope.jsonl")]) == 2
-        assert "no such trace" in capsys.readouterr().err
+        # `obs analyze` is the one trace reader; `obs summarize` is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "summarize", str(tmp_path / "nope.jsonl")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_summarize_json_format(self, models, tmp_path, capsys):
         import json
@@ -299,12 +303,15 @@ class TestObsCli:
         trace = tmp_path / "t.jsonl"
         assert main(["--trace", str(trace), "select", "--models", str(models), "--workloads", "lstm"]) == 0
         capsys.readouterr()
-        assert main(["obs", "summarize", str(trace), "--format", "json"]) == 0
+        assert main(["obs", "analyze", str(trace), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "serving.flush" in payload["spans"]
         row = payload["spans"]["serving.flush"]
         assert row["count"] == 1
-        assert 0.0 <= row["p50_s"] <= row["p95_s"] <= row["p99_s"]
+        assert 0.0 <= row["p50_s"] <= row["p95_s"] <= row["p99_s"] <= row["max_cum_s"]
+        assert row["self_s"] <= row["cum_s"]
+        assert payload["records"] >= payload["spans"]["serving.flush"]["count"]
+        assert isinstance(payload["events"], dict)
 
     def test_analyze_attribution_and_critical_path(self, models, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
