@@ -10,19 +10,15 @@ Scenarios (every service is long-lived; "cold" means an empty curve
 cache via :meth:`~repro.serving.SelectionService.clear_cache`, not a
 fresh process):
 
-* **cold** — 2048 distinct profiles, empty cache, fused engine: the
-  packed fast path doing 2048 * 2 full DNN curves per flush.  Carries
-  the PR's >= 3x acceptance bar against the sequential loop.
-* **cold_exact** — same flush through the default bitwise-exact engine.
+* **cold** — 2048 distinct profiles, empty cache: the packed engine
+  doing 2048 * 2 full DNN curves per flush.  Carries the >= 3x
+  acceptance bar against the sequential loop.
 * **hot / hot_d64 / hot_d256** — 2048 requests with 8 / 64 / 256
   distinct applications, cache cleared per flush: intra-flush dedup
   computes only the distinct curves.  ``hot`` (8 distinct, the
   realistic datacenter mix — most submissions are re-runs) carries the
   >= 60k selections/s acceptance bar.
 * **cached** — the hot mix again on a warm LRU: no DNN forward at all.
-* **fused** — engine-only microbench: one
-  :meth:`~repro.serving.engine.FusedInferenceEngine.infer` pass over
-  2048 distinct profiles (both models), no service stages around it.
 
 Each scenario's selections/s is a tracked metric whose ``best`` (highest
 ever committed for the current config) :func:`repro.obs.report.write_bench`
@@ -60,7 +56,7 @@ BENCH_PATH = _REPO_ROOT / "BENCH_serving.json"
 N_REQUESTS = 2048
 N_DISTINCT_HOT = 8
 HOT_SWEEP = (64, 256)
-#: Acceptance bars: fused cold flush vs the sequential loop, and
+#: Acceptance bars: cold flush vs the sequential loop, and
 #: absolute hot-mix throughput.
 COLD_SPEEDUP_BAR = 3.0
 HOT_SELECTIONS_PER_S_BAR = 60_000.0
@@ -138,34 +134,22 @@ def _measure_all(pipeline) -> dict:
 
     seq_s = _best_of(lambda: _sequential_select(pipeline, hot_requests), repeats=3)
 
-    fused_svc = SelectionService(pipeline, max_batch_size=N_REQUESTS, fused=True)
-    exact_svc = SelectionService(pipeline, max_batch_size=N_REQUESTS)
+    service = SelectionService(pipeline, max_batch_size=N_REQUESTS)
 
-    def timed_flush(svc, requests):
+    def timed_flush(requests):
         def run():
-            svc.clear_cache()
-            svc.select_many(requests)
+            service.clear_cache()
+            service.select_many(requests)
 
         return _best_of(run)
 
-    elapsed = {
-        "cold": timed_flush(fused_svc, cold_requests),
-        "cold_exact": timed_flush(exact_svc, cold_requests),
-        "hot": timed_flush(fused_svc, hot_requests),
-    }
+    elapsed = {"cold": timed_flush(cold_requests), "hot": timed_flush(hot_requests)}
     for n_distinct in HOT_SWEEP:
-        elapsed[f"hot_d{n_distinct}"] = timed_flush(fused_svc, _mix(n_distinct))
+        elapsed[f"hot_d{n_distinct}"] = timed_flush(_mix(n_distinct))
 
-    fused_svc.clear_cache()
-    fused_svc.select_many(hot_requests)  # prime the LRU
-    elapsed["cached"] = _best_of(lambda: fused_svc.select_many(hot_requests))
-
-    # Engine-only: both packed DNNs over 2048 distinct profiles, no
-    # service stages (lookup/select/response construction) around them.
-    engine = fused_svc._engine
-    fp = np.array([r.features.fp_active for r in cold_requests])
-    dram = np.array([r.features.dram_active for r in cold_requests])
-    elapsed["fused"] = _best_of(lambda: engine.infer(fp, dram))
+    service.clear_cache()
+    service.select_many(hot_requests)  # prime the LRU
+    elapsed["cached"] = _best_of(lambda: service.select_many(hot_requests))
 
     sequential = {"seconds": round(seq_s, 6), "selections_per_s": _throughput(seq_s)}
     scenarios = {}
@@ -181,8 +165,8 @@ def _measure_all(pipeline) -> dict:
 def test_serving_throughput_tracked(pipeline):
     """Record the serving perf trajectory and enforce the acceptance bars."""
     # Correctness sanity before timing: the batched flush must agree with
-    # the sequential loop decision-for-decision (the full bitwise and
-    # 1e-9 fused contracts are asserted in tests/serving).
+    # the sequential loop decision-for-decision (the full bitwise
+    # contract is asserted in tests/serving).
     hot_requests = _mix(N_DISTINCT_HOT)
     expected = _sequential_select(pipeline, hot_requests)
     responses = SelectionService(pipeline, max_batch_size=N_REQUESTS).select_many(
@@ -227,7 +211,7 @@ def test_serving_throughput_tracked(pipeline):
 
     cold = scenarios["cold"]
     assert cold["speedup_vs_sequential"] >= COLD_SPEEDUP_BAR, (
-        f"fused cold-flush speedup {cold['speedup_vs_sequential']:.2f}x is below the "
+        f"cold-flush speedup {cold['speedup_vs_sequential']:.2f}x is below the "
         f"{COLD_SPEEDUP_BAR:.0f}x acceptance bar (sequential "
         f"{measured['sequential']['selections_per_s']:.0f} vs cold "
         f"{cold['selections_per_s']:.0f} selections/s)"

@@ -145,14 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--batch", type=int, default=64, help="requests per service flush")
     p_select.add_argument("--threshold", type=float, default=None, help="perf degradation bound (fraction)")
     p_select.add_argument("--seed", type=int, default=0)
-    p_select.add_argument(
-        "--fused",
-        action="store_true",
-        help="folded-weight fast inference (1e-9 equivalence instead of bitwise)",
-    )
-    p_select.add_argument(
-        "--shards", type=int, default=1, help="inference worker processes (1 = in-process)"
-    )
     p_select.add_argument("--stats", action="store_true", help="print service stats afterwards")
 
     p_serve = sub.add_parser("serve", help="JSONL frequency-selection service loop")
@@ -164,14 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--batch", type=int, default=64, help="requests per service flush")
     p_serve.add_argument("--threshold", type=float, default=None, help="perf degradation bound (fraction)")
     p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument(
-        "--fused",
-        action="store_true",
-        help="folded-weight fast inference (1e-9 equivalence instead of bitwise)",
-    )
-    p_serve.add_argument(
-        "--shards", type=int, default=1, help="inference worker processes (1 = in-process)"
-    )
     p_serve.add_argument("--stats", action="store_true", help="print service stats to stderr")
 
     p_fleet = sub.add_parser("fleet", help="run a named fleet scenario")
@@ -461,7 +445,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _print_service_stats(stats, stream) -> None:
     print(
-        f"service[{stats.engine}]: {stats.requests} requests in {stats.batches} batches "
+        f"service: {stats.requests} requests in {stats.batches} batches "
         f"(mean {stats.mean_batch_size:.1f}, max {stats.max_batch_size}); "
         f"cache {stats.cache_hits} hits / {stats.cache_misses} misses "
         f"(hit rate {100 * stats.hit_rate:.0f}%), {stats.curves_computed} curves computed",
@@ -492,16 +476,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
     pipeline = _load_pipeline(args.models, args.arch, args.seed)
     with SelectionService(
         pipeline,
         threshold=args.threshold,
         max_batch_size=args.batch,
-        fused=args.fused,
-        shards=args.shards,
         registry=obs.get_registry(),
     ) as service:
         print(f"{len(workloads)} applications on {pipeline.device.arch.name}:")
@@ -557,17 +536,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.batch < 1:
         print("--batch must be >= 1", file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
     pipeline = _load_pipeline(args.models, args.arch, args.seed)
     registry = default_registry()
     with SelectionService(
         pipeline,
         threshold=args.threshold,
         max_batch_size=args.batch,
-        fused=args.fused,
-        shards=args.shards,
         registry=obs.get_registry(),
     ) as service:
         stream = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")

@@ -58,6 +58,8 @@ def select_optimal_frequency(
 ) -> SelectionResult:
     """Run Algorithm 1 over per-configuration energy/time curves.
 
+    A one-row :func:`select_optimal_frequency_many` call.
+
     Parameters
     ----------
     freqs_mhz:
@@ -75,48 +77,11 @@ def select_optimal_frequency(
     freqs = np.asarray(freqs_mhz, dtype=float)
     energy = np.asarray(energy_j, dtype=float)
     time = np.asarray(time_s, dtype=float)
-    if not (freqs.shape == energy.shape == time.shape):
-        raise ValueError("freqs, energy, and time must have identical shapes")
-    if freqs.size < 1:
-        raise ValueError("empty design space")
-    if np.any(np.diff(freqs) <= 0):
-        raise ValueError("freqs must be strictly ascending")
-    if threshold is not None and threshold < 0:
-        raise ValueError("threshold must be non-negative")
-
-    scores = objective(energy, time)
-    k = int(np.argmin(scores))
-
-    t_max = time[-1]
-    e_max = energy[-1]
-    degradation = 1.0 - t_max / time  # positive where slower than f_max
-
-    index = k
-    if threshold is not None and degradation[k] >= threshold:
-        # Walk upward in frequency until degradation is acceptable; the
-        # maximum frequency always satisfies a positive threshold
-        # (degradation there is 0), and a zero threshold falls through to
-        # f_max itself.
-        for i in range(k + 1, freqs.size):
-            if degradation[i] < threshold:
-                index = i
-                break
-        else:
-            index = freqs.size - 1
-    # The flag records whether the walk actually *moved* the selection;
-    # a walk that lands back on the minimiser (threshold=0 with the
-    # minimiser already at f_max) applied nothing.
-    threshold_applied = index != k
-
-    return SelectionResult(
-        freq_mhz=float(freqs[index]),
-        index=index,
-        objective_name=objective.name,
-        scores=scores,
-        perf_degradation=float(degradation[index]),
-        energy_saving=float(1.0 - energy[index] / e_max) if e_max > 0 else 0.0,
-        threshold_applied=threshold_applied,
-    )
+    if freqs.ndim != 1 or not (freqs.shape == energy.shape == time.shape):
+        raise ValueError("freqs, energy, and time must be 1-D with identical shapes")
+    return select_optimal_frequency_many(
+        freqs, energy[None, :], time[None, :], objective=objective, threshold=threshold
+    )[0]
 
 
 def select_optimal_frequency_many(
@@ -132,10 +97,11 @@ def select_optimal_frequency_many(
     ``energy_j`` and ``time_s`` are ``(n_apps, n_freqs)`` matrices.  The
     scoring, argmin, and degradation stages run as whole-matrix
     elementwise/rowwise operations — every one of which is
-    stacking-invariant, so each row's result stays bitwise-identical to
-    the per-row :func:`select_optimal_frequency` call (a property the
-    test suite asserts).  Only rows whose minimiser actually violates the
-    threshold fall back to the O(f) upward walk.
+    stacking-invariant, so each row's result is bitwise-identical to
+    running the row on its own.  Only rows whose minimiser actually
+    violates the threshold take the O(f) upward walk: from the
+    minimiser, the first higher clock whose degradation is under the
+    threshold, else f_max.
     """
     freqs = np.asarray(freqs_mhz, dtype=float)
     energy = np.asarray(energy_j, dtype=float)
@@ -156,12 +122,14 @@ def select_optimal_frequency_many(
 
     scores = objective(energy, time)
     minimisers = np.argmin(scores, axis=1)
-    # Row-broadcast of the scalar path's `1.0 - t_max / time`: the same
-    # divide/subtract per element, so bitwise-equal per row.
+    # perfDeg = 1 - T(f_max) / T(f), positive where slower than f_max.
     degradation = 1.0 - time[:, -1:] / time
 
     indices = minimisers.copy()
     if threshold is not None:
+        # The maximum frequency always satisfies a positive threshold
+        # (degradation there is 0), and a zero threshold falls through to
+        # f_max itself.
         rows = np.flatnonzero(degradation[np.arange(n), minimisers] >= threshold)
         for i in rows:
             k = int(minimisers[i])
@@ -196,6 +164,9 @@ def select_optimal_frequency_many(
             list(scores),
             selected_degradation.tolist(),
             savings.tolist(),
+            # Whether the walk actually *moved* the selection: one that
+            # lands back on the minimiser (threshold=0 with the minimiser
+            # already at f_max) applied nothing.
             (indices != minimisers).tolist(),
         )
     ]

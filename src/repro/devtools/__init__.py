@@ -24,10 +24,9 @@ module-qualified resolution, and rules that reason along its edges:
   ED²P; see :mod:`repro.devtools.units` and :mod:`repro.units`).
 * **DET003** — seed-lineage taint analysis: every Generator inside a
   seeded package must derive from a caller-supplied root.
-* **THR002/THR003/THR004** — concurrency analysis over inferred
-  execution contexts (:mod:`repro.devtools.concurrency`): shared-state
-  mutation without a common held lock, lock-order inversion, and
-  fork-unsafe captures (locks/files/RNG crossing a ``Process`` spawn).
+* **THR002/THR003** — concurrency analysis over inferred execution
+  contexts (:mod:`repro.devtools.concurrency`): shared-state mutation
+  without a common held lock, and lock-order inversion.
 * **RES001** — resource-lifetime escape analysis: acquired handles
   (``SharedMemory``, files, locks) must be released on every path or
   have their ownership transferred.

@@ -4,16 +4,14 @@ The per-file THR001 rule enforces one lexical pattern — lock-owning
 classes mutate their attributes under ``with self._lock:`` — but the
 repo's real concurrency surface is interprocedural: a
 :class:`~repro.serving.microbatch.MicroBatcher` dispatcher thread calls
-into the service, a forked :class:`~repro.serving.engine.ShardPool`
-worker rebuilds models over shared memory, and the metrics registry is
-written from every one of those contexts at once.  This module builds
+into the service, and the metrics registry is written from the
+dispatcher and the main thread at once.  This module builds
 the whole-program view those rules need, on top of the existing
 :class:`~repro.devtools.graph.ProjectIndex` / call graph:
 
 * **Execution-context lattice** — every function gets a subset of
-  ``{main, thread, fork}``.  Seeds: ``threading.Thread``/``Timer``
-  targets and ``executor.submit`` callees run in *thread* context,
-  ``multiprocessing`` ``Process`` targets run in *fork* context, and
+  ``{main, thread}``.  Seeds: ``threading.Thread``/``Timer`` targets
+  and ``executor.submit`` callees run in *thread* context, and
   everything that is not exclusively an entry target is callable from
   *main*.  Contexts propagate caller -> callee over resolved call edges
   to a fixpoint, so ``MicroBatcher._run -> select_many -> flush`` marks
@@ -24,12 +22,9 @@ the whole-program view those rules need, on top of the existing
 * **Lock-order graph** — directed edges ``A -> B`` whenever lock B is
   acquired (lexically, or transitively through a resolved call) while A
   is held; a cycle is an inversion (THR003's evidence).
-* **Fork-capture scan** — at every ``Process(...)`` spawn site, the
-  values bound into the child: locks, open file handles, RNG state, or
-  a bound method whose instance owns them (THR004's evidence).
 
 The analysis is built once per :class:`ProjectIndex` and cached on it,
-so the four consuming rules share one fixpoint per ``repro check`` run.
+so the consuming rules share one fixpoint per ``repro check`` run.
 """
 
 from __future__ import annotations
@@ -54,36 +49,18 @@ __all__ = [
     "AttrAccess",
     "ConcurrencyAnalysis",
     "EntryPoint",
-    "ForkCapture",
     "LockAcquisition",
     "get_analysis",
 ]
 
 #: The context lattice: every function maps to a subset of these.
-CONTEXTS = ("main", "thread", "fork")
+CONTEXTS = ("main", "thread")
 
 #: Call targets that register a *thread* entry point, by trailing match.
 _THREAD_FACTORIES = ("threading.Thread", "threading.Timer")
-#: Attribute spellings that register entries when the receiver type is
-#: opaque (``ctx.Process`` where ``ctx = get_context('fork')``).
-_PROCESS_ATTRS = frozenset({"Process"})
+#: Attribute spellings that register thread entries when the receiver
+#: type is opaque (``pool.submit`` on an untyped executor).
 _SUBMIT_ATTRS = frozenset({"submit"})
-
-#: Factories whose results are unsafe to capture across ``fork`` and the
-#: kind THR004 reports for each.
-_FORK_UNSAFE_FACTORIES: dict[str, str] = {
-    "threading.Lock": "lock",
-    "threading.RLock": "lock",
-    "threading.Condition": "lock",
-    "threading.Semaphore": "lock",
-    "builtins.open": "open file handle",
-    "io.open": "open file handle",
-    "os.fdopen": "open file handle",
-    "numpy.random.default_rng": "RNG state",
-    "numpy.random.Generator": "RNG state",
-    "numpy.random.RandomState": "RNG state",
-    "multiprocessing.shared_memory.SharedMemory": "shared-memory handle",
-}
 
 
 # ----------------------------------------------------------------------
@@ -91,10 +68,10 @@ _FORK_UNSAFE_FACTORIES: dict[str, str] = {
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class EntryPoint:
-    """One registration of a function as a thread/fork entry."""
+    """One registration of a function as a thread entry."""
 
     target: str  #: qualname of the function run in the new context
-    kind: str  #: "thread" | "fork"
+    kind: str  #: "thread"
     module: str
     line: int
     via: str  #: e.g. "threading.Thread(target=...)"
@@ -129,18 +106,6 @@ class AttrAccess:
     held_locks: frozenset[str]
 
 
-@dataclass(frozen=True)
-class ForkCapture:
-    """One fork-unsafe value bound into a Process spawn."""
-
-    module: str
-    caller: str
-    line: int
-    col: int
-    what: str  #: human-readable description of the captured value
-    kind: str  #: "lock" | "open file handle" | "RNG state" | ...
-
-
 # ----------------------------------------------------------------------
 # Analysis
 # ----------------------------------------------------------------------
@@ -163,9 +128,6 @@ class ConcurrencyAnalysis:
         #: class qualname -> attrs THR001 already guards (mutated under
         #: lock at least once) — THR002 leaves those to THR001.
         self.thr001_guarded: dict[str, frozenset[str]] = {}
-        self.fork_captures: list[ForkCapture] = []
-        #: (module, caller, line) of Process spawns under a held lock.
-        self.fork_under_lock: list[LockAcquisition] = []
         #: Thread-reachable functions -> locks held on *every* thread path
         #: into them.  A non-empty set means the function is serialized by
         #: those locks; an empty set means it truly races with main.
@@ -187,7 +149,6 @@ class ConcurrencyAnalysis:
         self._infer_contexts()
         self._find_construction_only()
         self._scan_classes()
-        self._scan_fork_captures()
 
     # -- lock discovery --------------------------------------------------
     def _discover_locks(self) -> None:
@@ -236,7 +197,7 @@ class ConcurrencyAnalysis:
             )
 
     def _entry_of(self, site, call: ast.Call):
-        """(kind, target expression, via) for a spawn/submit site, else Nones."""
+        """(kind, target expression, via) for a thread spawn/submit site, else Nones."""
         target = site.target or ""
         kw = {k.arg: k.value for k in call.keywords if k.arg is not None}
         if any(target.endswith(f) for f in _THREAD_FACTORIES):
@@ -246,15 +207,9 @@ class ConcurrencyAnalysis:
                 # Thread(group=None, target=None, ...): positional target is arg 1.
                 expr = kw.get("target") or (call.args[1] if len(call.args) > 1 else None)
             return "thread", expr, f"{target}(...)"
-        if target.endswith(".Process") or target.endswith("multiprocessing.Process"):
-            expr = kw.get("target") or (call.args[1] if len(call.args) > 1 else None)
-            return "fork", expr, f"{target}(...)"
         func = call.func
-        if isinstance(func, ast.Attribute):
-            if func.attr in _PROCESS_ATTRS and "target" in kw:
-                return "fork", kw["target"], f"{ast.unparse(func)}(target=...)"
-            if func.attr in _SUBMIT_ATTRS and call.args:
-                return "thread", call.args[0], f"{ast.unparse(func)}(...)"
+        if isinstance(func, ast.Attribute) and func.attr in _SUBMIT_ATTRS and call.args:
+            return "thread", call.args[0], f"{ast.unparse(func)}(...)"
         return None, None, ""
 
     def _resolve_callable_ref(self, expr: ast.expr, site) -> str | None:
@@ -337,7 +292,6 @@ class ConcurrencyAnalysis:
         self.thread_racy = frozenset(q for q, held in thread_prot.items() if not held)
 
         thread_set = set(thread_prot)
-        fork_set = closure({e.target for e in self.entries if e.kind == "fork"})
         # Main: any function that is not exclusively a spawn target is
         # importable and callable from the main thread, plus anything
         # module-level code calls directly.
@@ -350,14 +304,12 @@ class ConcurrencyAnalysis:
                 members.add("main")
             if qual in thread_set:
                 members.add("thread")
-            if qual in fork_set:
-                members.add("fork")
             self.contexts[qual] = frozenset(members or {"main"})
 
     def _find_construction_only(self) -> None:
         """Methods reachable (in-project) only from their class's __init__.
 
-        ``PackedModel.__init__ -> _pack_fast -> act_state`` runs before the
+        A packing helper called only from ``__init__`` runs before the
         object is published; mutations there are happens-before any other
         thread and are not shared-state races.  A method qualifies when
         every resolved caller is a construction method of the same class
@@ -583,18 +535,6 @@ class ConcurrencyAnalysis:
                         if site.kind == "resolved":
                             pending_calls.append((held, site))
                             self._held_at_site[id(site)] = held
-                        elif self._entry_of(site, sub)[0] == "fork":
-                            for h in held:
-                                self.fork_under_lock.append(
-                                    LockAcquisition(
-                                        held=h,
-                                        acquired="<fork>",
-                                        module=site.module,
-                                        caller=site.caller,
-                                        line=sub.lineno,
-                                        col=sub.col_offset,
-                                    )
-                                )
 
             walk_block(fn.node.body, frozenset())
             direct[qual] = acquired
@@ -656,139 +596,6 @@ class ConcurrencyAnalysis:
             seen.add(pair)
             out.append((edge, back))
         return out
-
-    # -- fork captures ---------------------------------------------------
-    def _scan_fork_captures(self) -> None:
-        for site in self.graph.sites:
-            call = site.node
-            if call is None:
-                continue
-            kind, target_expr, via = self._entry_of(site, call)
-            if kind != "fork":
-                continue
-            ctx = self.index.modules.get(site.module)
-            if ctx is None:
-                continue
-            caller_fn = self.index.functions.get(site.caller)
-            unsafe_locals = self._fork_unsafe_locals(caller_fn, ctx)
-            # Values bound into the child: args=(...) tuple elements and
-            # explicit keywords (target= handled separately below).
-            bound: list[ast.expr] = []
-            for kwarg in call.keywords:
-                if kwarg.arg == "args" and isinstance(kwarg.value, (ast.Tuple, ast.List)):
-                    bound.extend(kwarg.value.elts)
-                elif kwarg.arg not in ("target", "name", "daemon", "args", "kwargs"):
-                    bound.append(kwarg.value)
-            for expr in bound:
-                what, cap_kind = self._capture_kind(expr, ctx, caller_fn, unsafe_locals)
-                if cap_kind is not None:
-                    self.fork_captures.append(
-                        ForkCapture(
-                            module=site.module,
-                            caller=site.caller,
-                            line=expr.lineno,
-                            col=expr.col_offset,
-                            what=what,
-                            kind=cap_kind,
-                        )
-                    )
-            # A bound-method target drags the whole instance — including
-            # any lock/file/RNG attributes — into the child.
-            if isinstance(target_expr, ast.Attribute):
-                scope = (
-                    self.index._scope_for(caller_fn, ctx) if caller_fn is not None else {}
-                )
-                base = self.index.value_type(target_expr.value, scope, ctx)
-                if base is not None and base[0] == "class":
-                    owner = base[1]
-                    lock_attrs = self.class_locks.get(owner, frozenset())
-                    other = self._captured_class_attrs(owner)
-                    if lock_attrs or other:
-                        carried = ", ".join(
-                            sorted({f"self.{a} (lock)" for a in lock_attrs}
-                                   | {f"self.{a} ({k})" for a, k in other.items()})
-                        )
-                        self.fork_captures.append(
-                            ForkCapture(
-                                module=site.module,
-                                caller=site.caller,
-                                line=target_expr.lineno,
-                                col=target_expr.col_offset,
-                                what=f"bound method of {owner} carrying {carried}",
-                                kind="bound-method state",
-                            )
-                        )
-
-    def _fork_unsafe_locals(self, caller_fn, ctx: ModuleContext) -> dict[str, str]:
-        """Local names in the spawning function bound to fork-unsafe values."""
-        out: dict[str, str] = {}
-        if caller_fn is None:
-            return out
-        for node in walk(caller_fn.node):
-            if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
-                continue
-            resolved = ctx.resolve(node.value.func)
-            if resolved is None and isinstance(node.value.func, ast.Name):
-                if node.value.func.id == "open":
-                    resolved = "builtins.open"
-            kind = _FORK_UNSAFE_FACTORIES.get(resolved or "")
-            if kind is None:
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    out[target.id] = kind
-        return out
-
-    def _captured_class_attrs(self, class_qualname: str) -> dict[str, str]:
-        """Fork-unsafe ``self`` attributes assigned in a class's constructors."""
-        cinfo = self.index.classes.get(class_qualname)
-        if cinfo is None:
-            return {}
-        ctx = self.index.modules.get(cinfo.module)
-        out: dict[str, str] = {}
-        for name in _CONSTRUCTION_METHODS:
-            init = cinfo.methods.get(name)
-            if init is None or ctx is None:
-                continue
-            for node in walk(init.node):
-                if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
-                    continue
-                resolved = ctx.resolve(node.value.func)
-                if resolved is None and isinstance(node.value.func, ast.Name):
-                    if node.value.func.id == "open":
-                        resolved = "builtins.open"
-                kind = _FORK_UNSAFE_FACTORIES.get(resolved or "")
-                if kind is None or kind == "lock":  # locks reported separately
-                    continue
-                for target in node.targets:
-                    attr = _self_attr(target)
-                    if attr is not None:
-                        out[attr] = kind
-        return out
-
-    def _capture_kind(self, expr, ctx, caller_fn, unsafe_locals):
-        """(description, kind) when ``expr`` is fork-unsafe, else (..., None)."""
-        if isinstance(expr, ast.Call):
-            resolved = ctx.resolve(expr.func)
-            if resolved is None and isinstance(expr.func, ast.Name) and expr.func.id == "open":
-                resolved = "builtins.open"
-            kind = _FORK_UNSAFE_FACTORIES.get(resolved or "")
-            if kind is not None:
-                return f"{ast.unparse(expr.func)}(...)", kind
-        if isinstance(expr, ast.Name):
-            kind = unsafe_locals.get(expr.id)
-            if kind is not None:
-                return expr.id, kind
-        if isinstance(expr, ast.Attribute) and caller_fn is not None:
-            scope = self.index._scope_for(caller_fn, ctx)
-            base = self.index.value_type(expr.value, scope, ctx)
-            if base is not None and base[0] == "class":
-                if expr.attr in self.class_locks.get(base[1], frozenset()):
-                    return ast.unparse(expr), "lock"
-                kind = self._captured_class_attrs(base[1]).get(expr.attr)
-                if kind is not None:
-                    return ast.unparse(expr), kind
-        return "", None
 
 
 def get_analysis(index: "ProjectIndex") -> ConcurrencyAnalysis:

@@ -1,10 +1,10 @@
 """Numeric dataflow analysis: dtypes, shapes, hot-path perf, cache purity.
 
 The serving chain is only trustworthy because float64 flows end to end:
-the fused engine's 1e-9 equivalence gate, the golden suites and the LRU
-curve cache all assume no silent ``float32`` narrowing, no shape
-surprise inside the packed affine recurrence, and no impurity behind a
-memoised value.  This module checks those assumptions statically, the
+the serving engine's bitwise equivalence to ``run_online``, the golden
+suites and the LRU curve cache all assume no silent ``float32``
+narrowing, no shape surprise inside the packed forward pass, and no
+impurity behind a memoised value.  This module checks those assumptions statically, the
 same way :mod:`repro.devtools.units` checks dimensions: an abstract
 ``(dtype, rank, symbolic dims)`` value is propagated through
 assignments, numpy API calls and resolved call edges of the

@@ -1,4 +1,4 @@
-"""Interprocedural concurrency rules: THR002/THR003/THR004 + RES001.
+"""Interprocedural concurrency rules: THR002/THR003 + RES001.
 
 THR001 checks one lexical pattern inside one class.  These rules consume
 :mod:`repro.devtools.concurrency` — execution contexts inferred over the
@@ -13,11 +13,6 @@ reach which code*:
   orders (lexically nested ``with`` blocks, or a call made while holding
   a lock into a function that transitively acquires another).  An
   A->B / B->A cycle is a deadlock waiting for the right interleaving.
-* **THR004** — a ``multiprocessing`` spawn captures fork-unsafe state in
-  the child: a lock (may be held mid-fork), an open file handle (shared
-  offset), RNG state (duplicated stream), a shared-memory handle, or a
-  bound method dragging a whole lock-owning instance across ``fork`` —
-  or the spawn itself happens while the parent holds a lock.
 * **RES001** — a ``shared_memory``/file/lock resource is acquired into a
   local, and some exception path skips its release: no ``with``, no
   ``try/finally``, or can-raise statements sneak between the acquisition
@@ -46,7 +41,6 @@ __all__ = [
     "RES001ResourceLifetime",
     "THR002SharedStateRace",
     "THR003LockOrderInversion",
-    "THR004ForkCapture",
 ]
 
 
@@ -270,56 +264,6 @@ class THR003LockOrderInversion(Rule):
                         f"{other_via} — lock-order inversion can deadlock",
                     )
                 )
-        return findings
-
-
-# ----------------------------------------------------------------------
-# THR004 — fork-unsafe captures
-# ----------------------------------------------------------------------
-@register
-class THR004ForkCapture(Rule):
-    """A multiprocessing spawn captures fork-unsafe state in the child."""
-
-    rule_id = "THR004"
-    severity = "error"
-    summary = "lock / open file / RNG state captured across a process fork"
-    rationale = (
-        "fork() clones the parent mid-flight: a captured lock may be forever "
-        "held in the child, a shared file descriptor interleaves writes "
-        "through one offset, duplicated RNG state silently correlates the "
-        "parent's and child's random streams, and a shared-memory handle "
-        "double-unlinks on close. Workers must receive names/bytes and "
-        "re-open resources on their side of the fork (as _shard_worker does)."
-    )
-    needs_project = True
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        if not ctx.in_package("repro") or ctx.project is None:
-            return []
-        analysis = get_analysis(ctx.project)
-        findings: list[Finding] = []
-        for cap in analysis.fork_captures:
-            if cap.module != ctx.module:
-                continue
-            findings.append(
-                self.finding(
-                    ctx,
-                    _anchor(cap.line, cap.col),
-                    f"process spawn captures {cap.kind} ({cap.what}) across fork — "
-                    "pass a name/bytes and reconstruct it in the child instead",
-                )
-            )
-        for edge in analysis.fork_under_lock:
-            if edge.module != ctx.module:
-                continue
-            findings.append(
-                self.finding(
-                    ctx,
-                    _anchor(edge.line, edge.col),
-                    f"process forked while holding '{edge.held}' — the child clones a "
-                    "held lock and can deadlock on first acquire",
-                )
-            )
         return findings
 
 

@@ -9,8 +9,8 @@ they can reason about *what actually flows where*:
   reproduction's numeric contract pins to float64 (``repro.core``,
   ``repro.nn``, ``repro.serving``, ``repro.gpusim``) is narrowed to
   float16/float32, constructed sub-float64, or silently truncated with
-  a bare ``int()``.  One stray cast breaks the 1e-9 fused-engine gate
-  and every golden suite downstream.
+  a bare ``int()``.  One stray cast breaks the serving engine's bitwise
+  gate and every golden suite downstream.
 * **SHAPE001** — broadcast or matmul dimension mismatch found by
   unifying symbolic dims: ``(n, k) @ (j, m)`` with ``k != j`` provable,
   or elementwise ops whose concrete trailing dims conflict.
@@ -73,7 +73,7 @@ class NUM002DtypeDrift(_NumericRule):
     severity = "error"
     summary = "dtype drift off the float64 pipeline (narrowing cast/construction/truncation)"
     rationale = (
-        "The fused serving engine's 1e-9 equivalence gate and every golden "
+        "The serving engine's bitwise equivalence gate and every golden "
         "suite assume float64 end-to-end through core.models, nn, serving, "
         "and gpusim. Dtype propagation over the call graph proves where a "
         "float64 value is astype'd or constructed to float16/float32, or "

@@ -74,7 +74,6 @@ def build_fleet(
                 threshold=scenario.threshold,
                 cache_size=scenario.cache_size,
                 quantize_decimals=scenario.quantize_decimals,
-                fused=True,
             )
             node_id += 1
     return nodes, services

@@ -2,7 +2,7 @@
 
 Production-facing frontend over the paper's online phase: a thread-safe
 :class:`~repro.serving.service.SelectionService` that micro-batches many
-concurrent requests into single packed forward passes through the fused
+concurrent requests into single packed forward passes through the
 inference engine (:mod:`repro.serving.engine`) and memoizes prediction
 curves in a bounded LRU, with per-stage service stats.  See DESIGN.md
 §9 for the batching/caching contracts and §13 for the packed-weight
@@ -10,7 +10,7 @@ engine.
 """
 
 from repro.serving.cache import LRUCache
-from repro.serving.engine import FusedInferenceEngine, PackedModel, ShardPool
+from repro.serving.engine import FusedInferenceEngine, PackedModel
 from repro.serving.microbatch import MicroBatcher
 from repro.serving.service import (
     SelectionRequest,
@@ -28,5 +28,4 @@ __all__ = [
     "SelectionService",
     "ServiceResponse",
     "ServiceStats",
-    "ShardPool",
 ]

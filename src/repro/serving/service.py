@@ -7,12 +7,10 @@ applications, most of which it has seen before.  The
 :class:`~repro.core.pipeline.FrequencySelectionPipeline`:
 
 * **Batching** — a flush of n requests runs *one* packed forward pass
-  per model through the fused inference engine
-  (:class:`~repro.serving.engine.FusedInferenceEngine`) instead of n
-  sequential curve predictions.  The default engine mode replays the
-  reference pipeline bitwise; ``fused=True`` opts into the folded-scaler
-  fast path (1e-9 equivalence, not bitwise) and ``shards>1`` adds a
-  multiprocess shard pool.
+  per model through the inference engine
+  (:class:`~repro.serving.engine.FusedInferenceEngine`), which replays
+  the reference pipeline bitwise, instead of n sequential curve
+  predictions.
 * **Caching** — prediction curves are memoized in a bounded LRU keyed by
   the quantized feature vector + device architecture + model
   fingerprints, so repeated (or near-identical, under coarse
@@ -207,9 +205,6 @@ class ServiceStats:
     select_s: float
     #: Per-flush latency distribution per stage.
     stage_latency: dict[str, HistogramSnapshot] = field(default_factory=dict)
-    #: Engine configuration serving the predict stage ("exact", "fused",
-    #: or "<mode>xN" with an N-shard pool).
-    engine: str = "exact"
 
     @property
     def mean_batch_size(self) -> float:
@@ -268,8 +263,6 @@ class SelectionService:
         quantize_decimals: int = 12,
         max_batch_size: int = 64,
         batch_window_s: float = 0.002,
-        fused: bool = False,
-        shards: int = 1,
         registry: MetricsRegistry | None = None,
     ) -> None:
         if not pipeline.is_fitted:
@@ -278,16 +271,12 @@ class SelectionService:
             raise ValueError("max_batch_size must be >= 1")
         if quantize_decimals < 0:
             raise ValueError("quantize_decimals must be non-negative")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         self.pipeline = pipeline
         self.objectives = tuple(objectives)
         self.threshold = threshold
         self.quantize_decimals = quantize_decimals
         self.max_batch_size = max_batch_size
         self.batch_window_s = batch_window_s
-        self.fused = fused
-        self.shards = shards
         self._cache = LRUCache(cache_size)
         self._lock = threading.RLock()
         self._batcher = None
@@ -351,8 +340,6 @@ class SelectionService:
                 time_model.fingerprint(),
             )
             self._cache.clear()
-            if self._engine is not None:
-                self._engine.close()
             scale = (
                 device.arch.tdp_watts if power_model.reference_power_w is not None else None
             )
@@ -361,8 +348,6 @@ class SelectionService:
                 time_model.inference_spec(),
                 device.dvfs.usable_array(),
                 power_scale_w=scale,
-                fast=self.fused,
-                shards=self.shards,
             )
 
     def clear_cache(self) -> None:
@@ -371,7 +356,7 @@ class SelectionService:
         The cheap way to force cold-path behaviour (e.g. for
         benchmarking, or after an external store invalidation): unlike
         :meth:`refresh_models` it neither re-fingerprints nor repacks —
-        the engine's folded weights and warmed arenas survive.
+        the engine's packed weights and warmed arenas survive.
         """
         with self._lock:
             self._cache.clear()
@@ -420,9 +405,7 @@ class SelectionService:
         device = self.pipeline.device
         freqs = device.dvfs.usable_array()
 
-        with obs.span(
-            "serving.flush", batch=len(requests), engine=self._engine.mode
-        ) as flush_span:
+        with obs.span("serving.flush", batch=len(requests)) as flush_span:
             return self._flush_traced(
                 flush_span, requests, objectives, threshold, device, freqs
             )
@@ -498,7 +481,7 @@ class SelectionService:
             lookup_span.set(unique=len(unique_keys), hits=len(unique_keys) - len(miss_slots))
         t2 = _time.perf_counter()
 
-        # Stage 3 — one fused engine pass over all missing curves.
+        # Stage 3 — one engine pass over all missing curves.
         with obs.span("serving.predict", misses=len(miss_slots)):
             full_matrices = None
             if miss_slots:
@@ -516,7 +499,7 @@ class SelectionService:
                 power_matrix.flags.writeable = False
                 unit_time_matrix.flags.writeable = False
                 if all_miss:
-                    # Cold-flush fast path: slot j is matrix row j, so the
+                    # Cold-flush shortcut: slot j is matrix row j, so the
                     # scatter is a C-level row split instead of a Python loop.
                     power_rows = list(power_matrix)
                     unit_rows = list(unit_time_matrix)
@@ -636,18 +619,15 @@ class SelectionService:
         return batcher.submit(request)
 
     def close(self) -> None:
-        """Drain pending submissions, stop the dispatcher thread, and
-        shut down the engine's shard workers (if any).
+        """Drain pending submissions and stop the dispatcher thread.
 
-        The service stays usable afterwards: later flushes infer
-        in-process.
+        The service stays usable afterwards: a later :meth:`submit`
+        starts a new dispatcher.
         """
         with self._lock:
             batcher, self._batcher = self._batcher, None
         if batcher is not None:
             batcher.close()
-        with self._lock:
-            self._engine.close()
 
     def __enter__(self) -> "SelectionService":
         return self
@@ -682,5 +662,4 @@ class SelectionService:
                 predict_s=stage_latency["predict"].sum,
                 select_s=stage_latency["select"].sum,
                 stage_latency=stage_latency,
-                engine=self._engine.mode,
             )

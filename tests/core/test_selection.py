@@ -218,6 +218,33 @@ class TestAlgorithm1Properties:
         assert res.perf_degradation == 0.0
 
 
+def _algorithm1_row(freqs, energy, time, objective, threshold):
+    """Plain-Python Algorithm 1 over one row: the batched path's oracle.
+
+    Argmin of the objective (first minimum), then, when the minimiser
+    violates the threshold, the first clock above it whose degradation
+    is under the threshold (else f_max); savings and degradation are
+    taken against f_max.
+    """
+    scores = objective(energy, time)
+    n = len(freqs)
+    k = min(range(n), key=lambda j: scores[j])
+    t = [float(v) for v in time]
+    e = [float(v) for v in energy]
+    degradation = [1.0 - t[-1] / t[j] for j in range(n)]
+    index = k
+    if threshold is not None and degradation[k] >= threshold:
+        index = next((j for j in range(k + 1, n) if degradation[j] < threshold), n - 1)
+    return {
+        "index": index,
+        "freq_mhz": float(freqs[index]),
+        "scores": scores,
+        "perf_degradation": degradation[index],
+        "energy_saving": 1.0 - e[index] / e[-1] if e[-1] > 0 else 0.0,
+        "threshold_applied": index != k,
+    }
+
+
 class TestSelectMany:
     @given(
         seed=st.integers(0, 2_000),
@@ -236,15 +263,13 @@ class TestSelectMany:
         )
         assert len(batched) == n_apps
         for i, got in enumerate(batched):
-            want = select_optimal_frequency(
-                freqs, energy[i], time[i], objective=objective, threshold=threshold
-            )
-            assert got.index == want.index
-            assert got.freq_mhz == want.freq_mhz
-            assert got.energy_saving == want.energy_saving
-            assert got.perf_degradation == want.perf_degradation
-            assert got.threshold_applied == want.threshold_applied
-            assert np.array_equal(got.scores, want.scores)
+            want = _algorithm1_row(freqs, energy[i], time[i], objective, threshold)
+            assert got.index == want["index"]
+            assert got.freq_mhz == want["freq_mhz"]
+            assert got.energy_saving == want["energy_saving"]
+            assert got.perf_degradation == want["perf_degradation"]
+            assert got.threshold_applied == want["threshold_applied"]
+            assert got.scores.tobytes() == want["scores"].tobytes()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="matching"):

@@ -1,11 +1,11 @@
-"""Interprocedural concurrency analysis + THR002/THR003/THR004/RES001.
+"""Interprocedural concurrency analysis + THR002/THR003/RES001.
 
 Every fixture is a synthetic module checked through ``check_source`` (so
 noqa applies and package scoping is honoured) or indexed directly for
 the analysis-layer unit tests.  The seeded positives required by the
 acceptance criteria live here: a cross-thread race, a lock-order
-inversion (lexical and interprocedural), fork-unsafe captures, and a
-leaked ``shared_memory`` block.
+inversion (lexical and interprocedural), and a leaked ``shared_memory``
+block.
 """
 
 from __future__ import annotations
@@ -79,26 +79,6 @@ class TestContextInference:
         assert [(e.kind, e.target) for e in analysis.entries] == [
             ("thread", "repro.fixmod.job")
         ]
-
-    def test_process_target_registers_fork_entry(self):
-        analysis = _analysis(
-            {
-                "repro.fixmod": (
-                    "import multiprocessing\n"
-                    "\n"
-                    "def child():\n"
-                    "    pass\n"
-                    "\n"
-                    "def spawn():\n"
-                    "    p = multiprocessing.Process(target=child)\n"
-                    "    p.start()\n"
-                )
-            }
-        )
-        assert [(e.kind, e.target) for e in analysis.entries] == [
-            ("fork", "repro.fixmod.child")
-        ]
-        assert "fork" in analysis.contexts["repro.fixmod.child"]
 
     def test_lock_held_call_path_serializes_callee(self):
         analysis = _analysis(
@@ -389,78 +369,6 @@ class Pair:
 
 
 # ----------------------------------------------------------------------
-# THR004 — fork-unsafe captures
-# ----------------------------------------------------------------------
-class TestTHR004:
-    def test_lock_passed_to_child_detected(self):
-        unsafe = """
-import multiprocessing
-import threading
-
-def worker(lk):
-    pass
-
-def spawn():
-    lk = threading.Lock()
-    p = multiprocessing.Process(target=worker, args=(lk,))
-    p.start()
-"""
-        findings = check_source(unsafe, module="repro.fixmod", rules=["THR004"])
-        assert _ids(findings) == ["THR004"]
-        assert "captures lock (lk)" in findings[0].message
-
-    def test_open_file_passed_to_child_detected(self):
-        unsafe = """
-import multiprocessing
-
-def worker(fh):
-    pass
-
-def spawn(path):
-    fh = open(path)
-    p = multiprocessing.Process(target=worker, args=(fh,))
-    p.start()
-    fh.close()
-"""
-        findings = check_source(unsafe, module="repro.fixmod", rules=["THR004"])
-        assert _ids(findings) == ["THR004"]
-        assert "open file handle" in findings[0].message
-
-    def test_fork_while_holding_lock_detected(self):
-        unsafe = """
-import multiprocessing
-import threading
-
-_lock = threading.Lock()
-
-def worker(n):
-    pass
-
-def spawn():
-    with _lock:
-        p = multiprocessing.Process(target=worker, args=(1,))
-        p.start()
-"""
-        findings = check_source(unsafe, module="repro.fixmod", rules=["THR004"])
-        assert _ids(findings) == ["THR004"]
-        assert "forked while holding" in findings[0].message
-
-    def test_name_and_scalar_args_are_clean(self):
-        # The _shard_worker pattern: pass names/bytes, re-open in child.
-        safe = """
-import multiprocessing
-
-def worker(shm_name, count):
-    pass
-
-def spawn(shm_name):
-    p = multiprocessing.Process(target=worker, args=(shm_name, 3))
-    p.start()
-"""
-        assert check_source(safe, module="repro.fixmod", rules=["THR004"]) == []
-
-
-# ----------------------------------------------------------------------
 # RES001 — resource lifetime / escape analysis
 # ----------------------------------------------------------------------
 class TestRES001:
@@ -575,13 +483,13 @@ def attach(name):
 
 
 # ----------------------------------------------------------------------
-# The shipped tree under the four new rules
+# The shipped tree under the concurrency rules
 # ----------------------------------------------------------------------
 def test_shipped_tree_is_clean_under_concurrency_rules():
     from repro.devtools import Baseline, run_check
 
     report = run_check(
-        rules=["THR002", "THR003", "THR004", "RES001"], baseline=Baseline()
+        rules=["THR002", "THR003", "RES001"], baseline=Baseline()
     )
     details = "\n".join(f.render() for f in report.findings)
     assert report.ok, f"concurrency rules found live violations:\n{details}"

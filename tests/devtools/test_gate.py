@@ -49,7 +49,7 @@ def test_checked_the_real_tree():
 
 
 def test_concurrency_rules_are_registered_and_ran():
-    for rule_id in ("THR002", "THR003", "THR004", "RES001"):
+    for rule_id in ("THR002", "THR003", "RES001"):
         assert rule_id in rule_ids()
         assert rule_id in _REPORT.rules_run
 
@@ -108,5 +108,5 @@ def test_cli_non_package_target_dir_exits_2(tmp_path, capsys):
 def test_cli_select_is_an_alias_for_rules(capsys):
     from repro.cli import main
 
-    assert main(["check", "--select", "THR002,THR003,THR004,RES001"]) == 0
-    assert "4 rules" in capsys.readouterr().out
+    assert main(["check", "--select", "THR002,THR003,RES001"]) == 0
+    assert "3 rules" in capsys.readouterr().out

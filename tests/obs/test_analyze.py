@@ -266,7 +266,6 @@ class TestGoldenServingTrace:
         flush = flushes[0]
         assert [c.name for c in flush.children] == list(_STAGES)
         assert flush.attrs["batch"] == 8
-        assert flush.attrs["engine"] == "exact"
         assert flush.attrs["unique"] == flush.attrs["hits"] + flush.attrs["curves_computed"]
         predict = flush.children[2]
         assert predict.attrs["misses"] == flush.attrs["curves_computed"]

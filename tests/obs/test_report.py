@@ -77,7 +77,7 @@ class TestCheckedInTrajectories:
 
     def test_gate_passes_on_checked_in_files(self):
         rows = collect_rows(load_bench_payloads(REPO_ROOT))
-        assert len(rows) >= 10  # 7 serving scenarios + 2 collection + 1 obs
+        assert len(rows) >= 8  # 5 serving scenarios + 2 collection + 1 obs
         assert evaluate_gate(rows, tolerance=0.10) == []
 
     def test_default_root_finds_the_checkout(self):

@@ -1,16 +1,13 @@
-"""Fused inference engine: the bitwise (exact) and 1e-9 (fast) contracts.
+"""Packed inference engine: the bitwise contract of DESIGN.md §13.
 
-Two equivalence bars, matching DESIGN.md §13:
-
-* ``fast=False`` (the default everywhere) replays the reference model
-  path — results must equal ``predict_power_many`` /
-  ``predict_unit_time_many`` *bitwise*, including on arena-reusing
-  repeat calls.
-* ``fast=True`` folds scalers/SELU-scale/exp2 into the weights — gated
-  by a 1e-9 relative-error bar, property-tested over random stacks.
+The engine replays the reference model path — results must equal
+``predict_power_many`` / ``predict_unit_time_many`` *bitwise*, including
+across chunk boundaries and on arena-reusing repeat calls.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -21,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.dataset import FeatureVector
 from repro.core.models import InferenceSpec
 from repro.nn.activations import SELU, get_activation
-from repro.serving.engine import FusedInferenceEngine, PackedModel, ShardPool, _selu_inplace
+from repro.serving.engine import _CHUNK_REQS, FusedInferenceEngine, PackedModel, _selu_inplace
 
 from tests.golden.tiny_pipeline import make_tiny_pipeline
 
@@ -75,16 +72,15 @@ class TestExactBitwise:
         _assert_same_bytes(power, want_power)
         _assert_same_bytes(unit_time, want_time)
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+    @pytest.mark.parametrize("n", [1, _CHUNK_REQS - 1, _CHUNK_REQS, _CHUNK_REQS + 1, 2 * _CHUNK_REQS + 1])
     def test_chunk_boundaries_stay_bitwise(self, served, n):
-        """Partial, exact and straddled 8-request chunks all match."""
+        """Partial, exact and straddled chunks all match."""
         pipeline, freqs, scale = served
         engine = FusedInferenceEngine(
             pipeline.power_model.inference_spec(),
             pipeline.time_model.inference_spec(),
             freqs,
             power_scale_w=scale,
-            chunk_reqs=8,
         )
         fp, dram = _columns(n, seed=n)
         want_power, want_time = _reference_curves(pipeline, fp, dram, freqs, scale)
@@ -128,7 +124,7 @@ class TestExactBitwise:
 
 
 class TestExactKernels:
-    """The two rewrites the exact path rests on, checked against numpy."""
+    """The two rewrites the forward pass rests on, checked against numpy."""
 
     SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf, np.nan)
 
@@ -172,49 +168,6 @@ class TestExactKernels:
             _assert_same_bytes(got, want)
 
 
-class TestFastPath:
-    def test_within_1e9_of_model_path(self, served):
-        pipeline, freqs, scale = served
-        engine = FusedInferenceEngine(
-            pipeline.power_model.inference_spec(),
-            pipeline.time_model.inference_spec(),
-            freqs,
-            power_scale_w=scale,
-            fast=True,
-        )
-        fp, dram = _columns(64)
-        want_power, want_time = _reference_curves(pipeline, fp, dram, freqs, scale)
-        power, unit_time = engine.infer(fp, dram)
-        np.testing.assert_allclose(power, want_power, rtol=1e-9, atol=0.0)
-        np.testing.assert_allclose(unit_time, want_time, rtol=1e-9, atol=0.0)
-
-    def test_direct_out_requires_contiguous(self, served):
-        pipeline, freqs, _ = served
-        model = PackedModel(pipeline.power_model.inference_spec(), freqs, fast=True)
-        fp, dram = _columns(4)
-        out = np.empty((freqs.size, 4)).T  # F-order: reshape would copy
-        with pytest.raises(ValueError, match="C-contiguous"):
-            model.forward_into(fp, dram, out)
-
-    def test_fast_rejects_unsupported_activation(self, served):
-        pipeline, freqs, _ = served
-        spec = pipeline.power_model.inference_spec()
-        w, b, _ = spec.layers[1]
-        layers = (spec.layers[0], (w, b, "tanh"), *spec.layers[2:])
-        bent = InferenceSpec(
-            x_mean=spec.x_mean,
-            x_scale=spec.x_scale,
-            y_mean=spec.y_mean,
-            y_scale=spec.y_scale,
-            log_target=spec.log_target,
-            layers=layers,
-            fingerprint=spec.fingerprint,
-        )
-        with pytest.raises(ValueError, match="fast mode"):
-            PackedModel(bent, freqs, fast=True)
-        PackedModel(bent, freqs)  # exact mode falls back to the reference op
-
-
 class TestValidation:
     def test_out_shape_checked(self, served):
         pipeline, freqs, _ = served
@@ -237,10 +190,14 @@ class TestValidation:
     def test_bad_config_rejected(self, served):
         pipeline, freqs, _ = served
         spec = pipeline.power_model.inference_spec()
-        with pytest.raises(ValueError, match="tile_reqs"):
-            PackedModel(spec, freqs, tile_reqs=0)
-        with pytest.raises(ValueError, match="shards"):
-            FusedInferenceEngine(spec, spec, freqs, shards=0)
+        with pytest.raises(ValueError, match="1-D grid"):
+            PackedModel(spec, freqs[:0])
+        with pytest.raises(ValueError, match="no layers"):
+            PackedModel(dataclasses.replace(spec, layers=()), freqs)
+        w, b, act = spec.layers[0]
+        wide = dataclasses.replace(spec, layers=((np.vstack([w, w[:1]]), b, act), *spec.layers[1:]))
+        with pytest.raises(ValueError, match="3-feature"):
+            PackedModel(wide, freqs)
 
     def test_empty_flush(self, served):
         pipeline, freqs, scale = served
@@ -249,22 +206,14 @@ class TestValidation:
             pipeline.time_model.inference_spec(),
             freqs,
             power_scale_w=scale,
-            fast=True,
         )
         power, unit_time = engine.infer(np.empty(0), np.empty(0))
         assert power.shape == (0, freqs.size)
         assert unit_time.shape == (0, freqs.size)
 
-    def test_mode_strings(self, served):
-        pipeline, freqs, _ = served
-        spec_p = pipeline.power_model.inference_spec()
-        spec_t = pipeline.time_model.inference_spec()
-        assert FusedInferenceEngine(spec_p, spec_t, freqs).mode == "exact"
-        assert FusedInferenceEngine(spec_p, spec_t, freqs, fast=True).mode == "fused"
-
 
 # ----------------------------------------------------------------------
-# Property test: fast ≈ exact over random packed stacks
+# Property test: the packed forward over random stacks
 # ----------------------------------------------------------------------
 def _random_spec(seed: int, widths: list[int], acts: list[str], log_target: bool) -> InferenceSpec:
     """A synthetic trained-model snapshot with the given stack shape."""
@@ -305,82 +254,24 @@ def _plain_forward(spec: InferenceSpec, fp, dram, freqs) -> np.ndarray:
 @given(
     seed=st.integers(0, 2**31 - 1),
     widths=st.lists(st.integers(1, 8), min_size=1, max_size=3),
-    hidden_act=st.sampled_from(["selu", "relu"]),
+    hidden_act=st.sampled_from(["selu", "relu", "tanh"]),
     out_act=st.sampled_from(["linear", "selu", "relu"]),
     log_target=st.booleans(),
-    n=st.integers(1, 30),
+    n=st.integers(1, 2 * _CHUNK_REQS + 2),
 )
 @settings(max_examples=40, deadline=None)
-def test_fast_path_property(seed, widths, hidden_act, out_act, log_target, n):
-    """Fast mode stays within 1e-9 rtol of the unfolded forward pass for
-    any selu/relu/linear stack, and exact mode replays it bitwise."""
+def test_exact_path_property(seed, widths, hidden_act, out_act, log_target, n):
+    """The packed forward replays the unfolded forward pass for any
+    stack, including activations without an in-place kernel (tanh takes
+    the reference callable), and across chunk boundaries."""
     acts = [hidden_act] * len(widths) + [out_act]
     spec = _random_spec(seed, widths, acts, log_target)
     freqs = np.linspace(500.0, 1500.0, 9)
     rng = np.random.default_rng(seed + 1)
     fp = rng.uniform(0.0, 1.0, n)
     dram = rng.uniform(0.0, 1.0, n)
-    want = _plain_forward(spec, fp, dram, freqs)
-
-    fast = np.empty((n, freqs.size))
-    PackedModel(spec, freqs, fast=True, tile_reqs=4).forward_into(fp, dram, fast)
-    np.testing.assert_allclose(fast, want, rtol=1e-9, atol=0.0)
-
-    exact = np.empty((n, freqs.size))
-    PackedModel(spec, freqs, chunk_reqs=8).forward_into(fp, dram, exact)
-    np.testing.assert_allclose(exact, want, rtol=1e-12, atol=0.0)
-
-
-# ----------------------------------------------------------------------
-# Shard pool
-# ----------------------------------------------------------------------
-class TestShardPool:
-    def test_sharded_exact_is_bitwise(self, served):
-        pipeline, freqs, scale = served
-        spec_p = pipeline.power_model.inference_spec()
-        spec_t = pipeline.time_model.inference_spec()
-        fp, dram = _columns(11)
-        want_power, want_time = _reference_curves(pipeline, fp, dram, freqs, scale)
-        with FusedInferenceEngine(
-            spec_p, spec_t, freqs, power_scale_w=scale, shards=2
-        ) as engine:
-            assert engine.mode == "exactx2"
-            power, unit_time = engine.infer(fp, dram)
-            # A 1-row flush is below the shard count: in-process fallback.
-            solo_p, solo_t = engine.infer(fp[:1], dram[:1])
-        _assert_same_bytes(power, want_power)
-        _assert_same_bytes(unit_time, want_time)
-        _assert_same_bytes(solo_p, want_power[:1])
-        _assert_same_bytes(solo_t, want_time[:1])
-
-    def test_pool_over_capacity_returns_none(self, served):
-        pipeline, freqs, scale = served
-        spec_p = pipeline.power_model.inference_spec()
-        spec_t = pipeline.time_model.inference_spec()
-        fp, dram = _columns(8)
-        with ShardPool(
-            spec_p, spec_t, freqs, power_scale_w=scale, n_shards=2, capacity=4
-        ) as pool:
-            assert pool.infer(fp, dram) is None
-            small = pool.infer(fp[:4], dram[:4])
-        assert small is not None
-        want_power, _ = _reference_curves(pipeline, fp[:4], dram[:4], freqs, scale)
-        np.testing.assert_allclose(small[0], want_power, rtol=1e-9, atol=0.0)
-
-    def test_closed_pool_rejects_work(self, served):
-        pipeline, freqs, _ = served
-        spec_p = pipeline.power_model.inference_spec()
-        spec_t = pipeline.time_model.inference_spec()
-        pool = ShardPool(spec_p, spec_t, freqs, n_shards=2, capacity=8)
-        pool.close()
-        pool.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.infer(np.zeros(2), np.zeros(2))
-
-    def test_pool_config_validated(self, served):
-        pipeline, freqs, _ = served
-        spec = pipeline.power_model.inference_spec()
-        with pytest.raises(ValueError, match="n_shards"):
-            ShardPool(spec, spec, freqs, n_shards=1)
-        with pytest.raises(ValueError, match="capacity"):
-            ShardPool(spec, spec, freqs, n_shards=4, capacity=2)
+    got = np.empty((n, freqs.size))
+    with np.errstate(over="ignore"):  # random log-target stacks may overflow exp
+        want = _plain_forward(spec, fp, dram, freqs)
+        PackedModel(spec, freqs).forward_into(fp, dram, got)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

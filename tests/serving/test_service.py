@@ -160,7 +160,7 @@ class TestDedupAndCache:
 
 
 class TestFusedService:
-    """The opt-in fast engine: 1e-9 curve closeness, identical decisions."""
+    """The packed engine behind the service keeps its weights and arenas."""
 
     @pytest.fixture()
     def profiled(self, quiet_pipeline):
@@ -171,21 +171,6 @@ class TestFusedService:
                 SelectionRequest.from_features(fv, t_max, power_at_max_w=p_max, name=name)
             )
         return requests
-
-    def test_fused_matches_exact_within_1e9(self, quiet_pipeline, profiled):
-        exact = SelectionService(quiet_pipeline).select_many(profiled)
-        fused = SelectionService(quiet_pipeline, fused=True).select_many(profiled)
-        for got, want in zip(fused, exact):
-            np.testing.assert_allclose(got.power_w, want.power_w, rtol=1e-9, atol=0.0)
-            np.testing.assert_allclose(got.time_s, want.time_s, rtol=1e-9, atol=0.0)
-            np.testing.assert_allclose(got.energy_j, want.energy_j, rtol=1e-9, atol=0.0)
-            for name, sel in want.selections.items():
-                assert got.selections[name].freq_mhz == sel.freq_mhz
-                assert got.selections[name].index == sel.index
-
-    def test_stats_report_engine_mode(self, quiet_pipeline):
-        assert SelectionService(quiet_pipeline).stats().engine == "exact"
-        assert SelectionService(quiet_pipeline, fused=True).stats().engine == "fused"
 
     def test_clear_cache_forces_recompute(self, quiet_pipeline, profiled):
         service = SelectionService(quiet_pipeline)
@@ -251,24 +236,6 @@ class TestServiceConfig:
         tight = service.select_one(req, objectives=(EDP,), threshold=0.0)
         assert tight.selection("EDP").perf_degradation == 0.0
         assert free.selection("EDP").freq_mhz <= tight.selection("EDP").freq_mhz
-
-    def test_exit_stops_shard_workers(self, quiet_pipeline):
-        import multiprocessing
-
-        before = set(multiprocessing.active_children())
-        requests = []
-        for name in ("lammps", "lstm", "resnet50"):
-            fv, _, t_max = features_at_max(quiet_pipeline.device, get_workload(name))
-            requests.append(SelectionRequest.from_features(fv, t_max, name=name))
-        with SelectionService(quiet_pipeline, shards=2) as service:
-            first = service.select_many(requests)
-            assert len(set(multiprocessing.active_children()) - before) == 2
-        assert set(multiprocessing.active_children()) <= before
-        assert service._engine._pool is None
-        # Still usable after close: later flushes infer in-process.
-        service.clear_cache()
-        for got, want in zip(service.select_many(requests), first):
-            assert_online_results_identical(want.to_online_result(), got.to_online_result())
 
     def test_run_online_many_rejects_foreign_service(self, pipeline_pair):
         pipe_a, pipe_b = pipeline_pair

@@ -106,31 +106,17 @@ class TestSelect:
         assert "3 applications on GA100" in out
         assert out.count("lammps") >= 2
         assert "MHz" in out
-        assert "service[exact]: 3 requests" in out
+        assert "service: 3 requests" in out
 
-    def test_fused_engine_flag(self, models, capsys):
-        code = main(
-            [
-                "select",
-                "--models",
-                str(models),
-                "--workloads",
-                "lammps,lstm",
-                "--fused",
-                "--stats",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "MHz" in out
-        assert "service[fused]: 2 requests" in out
-
-    def test_bad_shards_rejected(self, models, capsys):
-        code = main(
-            ["select", "--models", str(models), "--workloads", "lstm", "--shards", "0"]
-        )
-        assert code == 2
-        assert "--shards" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["select", "serve"])
+    @pytest.mark.parametrize("flag", [["--fused"], ["--shards", "2"]], ids=["fused", "shards"])
+    def test_removed_engine_flags_rejected(self, models, command, flag, capsys):
+        """One engine serves every request: no engine-mode flags parse."""
+        source = ["--workloads", "lstm"] if command == "select" else ["--input", "-"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--models", str(models), *source, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_named_suites_resolve(self, models, capsys):
         assert main(["select", "--models", str(models), "--workloads", "training"]) == 0
@@ -181,7 +167,7 @@ class TestServe:
             assert {"EDP", "ED2P"} == set(r["selections"])
             for sel in r["selections"].values():
                 assert sel["freq_mhz"] > 0
-        assert "service[exact]: 3 requests" in captured.err
+        assert "service: 3 requests" in captured.err
 
     def test_invalid_lines_reported_and_exit_nonzero(self, models, tmp_path, capsys):
         import json
