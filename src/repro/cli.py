@@ -290,13 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true", help="list registered rules and exit"
     )
     p_check.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse files on an N-process pool (default 1: sequential, deterministic)",
-    )
-    p_check.add_argument(
         "--stats",
         action="store_true",
         help="append a per-rule wall-time table to the text report",
@@ -322,11 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--include-external",
         action="store_true",
         help="include external (stdlib/numpy) call sites in the JSON dump",
-    )
-    p_graph.add_argument(
-        "--dtypes",
-        action="store_true",
-        help="dump inferred dtype/shape facts (returns, params, hot set, cache feeds)",
     )
 
     return parser
@@ -792,11 +780,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 2
     baseline = Baseline() if args.no_baseline else Baseline.load(baseline_path)
 
-    if args.jobs < 1:
-        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
     try:
-        report = run_check(root, rules=selected, baseline=baseline, jobs=args.jobs)
+        report = run_check(root, rules=selected, baseline=baseline)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -826,7 +811,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     import json
 
     from repro.devtools import default_root, index_from_root
-    from repro.devtools.numeric import dtype_table
     from repro.devtools.units import unit_table
 
     root = Path(args.root) if args.root is not None else default_root()
@@ -839,9 +823,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         print(f"skipped unparseable {path}: {exc}", file=sys.stderr)
     if args.units:
         print(json.dumps(unit_table(index), indent=2))
-        return 0
-    if args.dtypes:
-        print(json.dumps(dtype_table(index), indent=2))
         return 0
     graph = index.call_graph()
     if args.format == "dot":

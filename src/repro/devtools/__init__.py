@@ -30,27 +30,20 @@ module-qualified resolution, and rules that reason along its edges:
 * **RES001** — resource-lifetime escape analysis: acquired handles
   (``SharedMemory``, files, locks) must be released on every path or
   have their ownership transferred.
-* **NUM002/SHAPE001/PERF001/PURE001** — numeric dataflow analysis
-  (:mod:`repro.devtools.numeric`): an abstract ``(dtype, rank,
-  symbolic-dims)`` lattice propagated through numpy calls and resolved
-  call edges catches float64-pipeline drift and provable broadcast/
-  matmul mismatches; a computed hot set (call-graph descendants of the
-  serving flush / fused infer / telemetry collection roots) scopes the
-  perf-hygiene lint; and cache feeds (serving curve cache, ``*_cache``
-  stores, ``@lru_cache``) are proven return-pure — no clock, unseeded
-  RNG, I/O, or mutated global taints a cached value.
 * **PARSE001** — unparseable files are reported as findings, not
   crashes.
 
-``repro graph`` dumps the call graph (JSON/DOT), the declared unit
-table (``--units``), and the inferred dtype/purity facts
-(``--dtypes``).  ``repro check --jobs N`` parses on a process pool and
-``--stats`` renders per-rule wall time.  Findings can be silenced
-inline (``# repro: noqa[RULE]``) or grandfathered in a committed
-baseline file with a justification — per-entry, or shared per rule id
-via ``rule_justifications``; the tier-1 gate
-(``tests/devtools/test_gate.py``) fails on anything else.
-See DESIGN.md §11-§12 and §16-§17 for the workflow.
+``repro graph`` dumps the call graph (JSON/DOT) and the declared unit
+table (``--units``); ``repro check --stats`` renders per-rule wall time.
+Float64 drift, shape errors and cache purity are not checked here: the
+bitwise golden and serving suites pin them at run time (DESIGN.md §17).
+
+Findings can be silenced inline (``# repro: noqa[RULE]``) or
+grandfathered in a committed baseline file with a justification —
+per-entry, or shared per rule id via ``rule_justifications``; the
+tier-1 gate (``tests/devtools/test_gate.py``) fails on anything else.
+See DESIGN.md §11-§12 and §16-§17 for the workflow and the per-rule
+table.
 """
 
 from repro.devtools.baseline import Baseline, BaselineEntry

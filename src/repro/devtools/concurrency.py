@@ -348,16 +348,6 @@ class ConcurrencyAnalysis:
                     changed = True
         self.construction_only = frozenset(out)
 
-    def contexts_of_class(self, class_qualname: str) -> frozenset[str]:
-        """Union of contexts across the class's own methods."""
-        cinfo = self.index.classes.get(class_qualname)
-        if cinfo is None:
-            return frozenset()
-        out: set[str] = set()
-        for method in cinfo.methods.values():
-            out |= self.contexts.get(method.qualname, frozenset())
-        return frozenset(out)
-
     # -- shared-state access map ----------------------------------------
     def _scan_classes(self) -> None:
         for qual, cinfo in self.index.classes.items():

@@ -72,7 +72,6 @@ class CheckReport:
     #: Wall time per phase/rule: ``"parse"``, ``"project-index"``, and one
     #: entry per rule id (summed across modules).  Rendered by ``--stats``.
     timings: dict[str, float] = field(default_factory=dict)
-    jobs: int = 1
 
     @property
     def ok(self) -> bool:
@@ -106,7 +105,6 @@ class CheckReport:
             "suppressed": self.suppressed,
             "duration_s": self.duration_s,
             "timings": {k: round(v, 6) for k, v in sorted(self.timings.items())},
-            "jobs": self.jobs,
         }
 
     def to_json(self, *, indent: int | None = 2) -> str:
@@ -139,14 +137,11 @@ def _check_context(
     return kept, suppressed
 
 
-def _parse_worker(args: tuple[str, str]) -> tuple[str, "ModuleContext | None", tuple | None]:
-    """Parse one file (process-pool worker; must stay module-level picklable).
+def _parse_file(path: Path, root: Path) -> tuple[str, ModuleContext | None, tuple | None]:
+    """Parse one file: ``(rel_path, context, error)``.
 
-    Returns ``(rel_path, context, error)`` where ``error`` is
-    ``(line, col, message)`` when the file does not parse.
+    ``error`` is ``(line, col, message)`` when the file does not parse.
     """
-    path_s, root_s = args
-    path, root = Path(path_s), Path(root_s)
     rel = path.relative_to(root).as_posix()
     try:
         return rel, build_context(path, root), None
@@ -191,14 +186,11 @@ def run_check(
     *,
     rules: list[str] | tuple[str, ...] | None = None,
     baseline: Baseline | None = None,
-    jobs: int = 1,
 ) -> CheckReport:
     """Check every source file under ``root/repro`` (default: the installed tree).
 
     ``baseline=None`` loads the committed ``baseline.json`` next to this
     package; pass an empty :class:`Baseline` to check without one.
-    ``jobs > 1`` parses files on a process pool (the findings are
-    identical — ``jobs=1`` stays the fully sequential default).
     """
     root = default_root() if root is None else Path(root)
     if baseline is None:
@@ -211,19 +203,10 @@ def run_check(
     suppressed = 0
     files = iter_source_files(root)
     # Phase 1: parse everything.  Unparseable files become PARSE001
-    # findings (the rest of the tree still gets checked).  With jobs > 1
-    # the parse fans out on a process pool; results come back in file
-    # order either way, so the report is byte-identical.
+    # findings (the rest of the tree still gets checked).
     contexts: list[ModuleContext] = []
-    work = [(str(p), str(root)) for p in files]
-    if jobs > 1 and len(work) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parsed = list(pool.map(_parse_worker, work, chunksize=8))
-    else:
-        parsed = [_parse_worker(item) for item in work]
-    for rel, ctx, error in parsed:
+    for path in files:
+        rel, ctx, error = _parse_file(path, root)
         if ctx is not None:
             contexts.append(ctx)
         else:
@@ -265,7 +248,6 @@ def run_check(
         root=str(root),
         parse_errors=parse_errors,
         timings=timings,
-        jobs=jobs,
     )
 
 
@@ -312,7 +294,7 @@ def render_stats(report: CheckReport) -> str:
         lines.append(f"{name:<{width}}  {seconds * 1e3:>7.1f}ms  {seconds / total:>5.1%}")
     lines.append(
         f"{'total':<{width}}  {report.duration_s * 1e3:>7.1f}ms  "
-        f"(jobs={report.jobs}, {report.files_checked} files)"
+        f"({report.files_checked} files)"
     )
     return "\n".join(lines)
 

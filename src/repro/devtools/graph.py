@@ -189,10 +189,6 @@ class CallGraph:
     def unresolved(self) -> list[CallSite]:
         return [s for s in self.sites if s.kind == "unresolved"]
 
-    def callers_of(self, qualname: str) -> list[CallSite]:
-        """Every resolved site targeting ``qualname``."""
-        return [s for s in self.edges if s.target == qualname]
-
     def sites_in(self, module: str) -> list[CallSite]:
         return [s for s in self.sites if s.module == module]
 

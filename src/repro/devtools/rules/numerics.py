@@ -1,9 +1,8 @@
 """Numerical-safety rule NUM001: no equality comparison between floats.
 
-(One lexical rule lives here; the interprocedural numeric dataflow
-rules — NUM002/SHAPE001/PERF001/PURE001 over the dtype/shape lattice of
-:mod:`repro.devtools.numeric` — live in
-:mod:`repro.devtools.rules.numeric`.)
+(This is the only numeric rule.  Float64 drift, shape errors and
+cache purity are pinned at run time by the bitwise golden and serving
+suites instead; see DESIGN.md §17.)
 
 Algorithm 1 selection, Pareto tie handling and the serving cache key all
 touch values that came out of DNN forward passes; ``==`` on such values

@@ -530,7 +530,7 @@ class SelectionService:
                     combo_of[ck] = combo
                     combo_slot.append(int(slots[i]))
                     combo_t_max.append(t_max_col[i])
-                combo_col[i] = combo  # repro: noqa[PERF001] — dict-keyed dedup is order-dependent and inherently sequential; n is one micro-batch
+                combo_col[i] = combo
             if (
                 full_matrices is not None
                 and len(combo_slot) == n

@@ -302,18 +302,3 @@ def test_installed_tree_resolution_rate_meets_floor():
     stats = index.call_graph().stats()
     assert stats["total_sites"] > 1000  # sanity: the whole tree was walked
     assert stats["resolution_rate"] >= 0.90
-
-
-def test_cli_graph_dtypes_dumps_inferred_facts(capsys):
-    import json
-
-    from repro.cli import main
-
-    assert main(["graph", "--dtypes"]) == 0
-    table = json.loads(capsys.readouterr().out)
-    assert table["schema"] == 1
-    assert "float64" in table["lattice"]
-    # The fused engine's hot root and its float64 return surface here.
-    assert "FusedInferenceEngine.infer" in table["hot_roots"]
-    assert any(q.endswith("energy_from_power_time") for q in table["functions"])
-    assert all(feed["proven_pure"] for feed in table["cache_feeds"])

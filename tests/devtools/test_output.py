@@ -22,7 +22,6 @@ _REPORT_KEYS = {
     "suppressed",
     "duration_s",
     "timings",
-    "jobs",
 }
 
 

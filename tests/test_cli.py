@@ -118,6 +118,16 @@ class TestSelect:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["check", "--jobs", "2"], ["graph", "--dtypes"]], ids=["check-jobs", "graph-dtypes"]
+    )
+    def test_removed_devtools_flags_rejected(self, argv, capsys):
+        """The checker parses sequentially and has no dtype dump: neither flag parses."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_named_suites_resolve(self, models, capsys):
         assert main(["select", "--models", str(models), "--workloads", "training"]) == 0
         out = capsys.readouterr().out
