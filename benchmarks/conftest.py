@@ -52,21 +52,16 @@ def report():
     return _record
 
 
-#: Bench modules cheap enough to run on every invocation (no shared
-#: paper-profile context; at most seconds of tiny-model training) —
-#: everything else is ``slow``.
-_FAST_BENCH_MODULES = {"test_perf_collection.py", "test_perf_serving.py", "test_perf_obs.py"}
-
-
 def pytest_collection_modifyitems(config, items):
-    """Mark the full-sweep paper benches ``slow``.
+    """Mark every bench ``slow``.
 
-    They train the DNNs and measure brute-force ground-truth sweeps, so
-    tier-1 and quick perf checks can deselect them with ``-m 'not slow'``.
+    Each one is a paper figure/table reproduction that trains the DNNs
+    and measures brute-force ground-truth sweeps, so tier-1 can deselect
+    them with ``-m 'not slow'``.  Performance is measured by
+    ``perfbench/``, not here.
     """
     for item in items:
-        if item.path.name not in _FAST_BENCH_MODULES:
-            item.add_marker(pytest.mark.slow)
+        item.add_marker(pytest.mark.slow)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

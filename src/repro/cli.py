@@ -35,12 +35,6 @@ Mirrors how the paper's framework is operated:
     flamegraph export, per-phase diff against a second trace;
     ``--format text|markdown|json``), ``export`` the process metrics
     registry as Prometheus text or JSON.
-``repro report``
-    Performance trajectory report over the committed ``BENCH_*.json``
-    files (and an optional run-history store): markdown/GitHub/text
-    table of every tracked hot-path metric vs its best record.
-    ``--gate`` exits 2 when any metric regressed more than
-    ``--tolerance`` (default 10%) — the CI bench gate.
 ``repro check``
     Static invariant checker (see :mod:`repro.devtools`): AST rules for
     determinism, lock discipline, float comparisons, observability
@@ -65,6 +59,7 @@ a laptop with no GPU.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -212,43 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp_reg = obs_sub.add_parser("export", help="export the process metrics registry")
     p_exp_reg.add_argument(
         "--format", choices=("prom", "json"), default="prom", help="exposition format"
-    )
-
-    p_report = sub.add_parser(
-        "report", help="performance trajectory report + regression gate (BENCH_*.json)"
-    )
-    p_report.add_argument(
-        "--root",
-        default=None,
-        help="directory holding the BENCH_*.json files (default: cwd, else the checkout)",
-    )
-    p_report.add_argument(
-        "--store",
-        metavar="PATH",
-        default=None,
-        help="run-history store JSONL to consult (its best values tighten the gate)",
-    )
-    p_report.add_argument(
-        "--record",
-        action="store_true",
-        help="append the current bench points to --store before reporting",
-    )
-    p_report.add_argument(
-        "--gate",
-        action="store_true",
-        help="exit 2 when any tracked metric regressed more than --tolerance vs its best",
-    )
-    p_report.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="allowed fractional regression past each metric's best (default 0.10)",
-    )
-    p_report.add_argument(
-        "--format",
-        choices=("markdown", "github", "text"),
-        default="markdown",
-        help="report format ('github' adds ::error annotations for regressions)",
     )
 
     p_check = sub.add_parser(
@@ -488,8 +446,28 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_number(payload: dict, key: str) -> float:
+    """One finite float field of a serve request (ValueError otherwise)."""
+    try:
+        value = float(payload[key])
+    except KeyError:
+        raise ValueError(f"request needs 'workload' or fp_active/dram_active/time_at_max_s ({key!r} missing)")
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {payload[key]!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return value
+
+
 def _parse_serve_line(line: str, registry):
-    """One JSONL request -> SelectionRequest (raises ValueError on bad input)."""
+    """One JSONL request -> SelectionRequest (raises ValueError on bad input).
+
+    Requests are range-checked here, at the input boundary: a workload
+    ``size`` must be an integer in the workload's range; for a profile,
+    every number finite, both activities in [0, 1], ``time_at_max_s > 0``
+    and ``power_at_max_w >= 0``.  A bad line gets its own error reply
+    instead of crashing the flush or yielding a silent selection.
+    """
     import json
 
     from repro.core.dataset import FeatureVector
@@ -500,18 +478,27 @@ def _parse_serve_line(line: str, registry):
         raise ValueError("request must be a JSON object")
     if "workload" in payload:
         workload = registry.get(payload["workload"])
-        return SelectionRequest.from_workload(workload, size=payload.get("size"))
-    try:
-        features = FeatureVector(
-            float(payload["fp_active"]), float(payload["dram_active"]), 0.0
-        )
-        time_at_max = float(payload["time_at_max_s"])
-    except KeyError as missing:
-        raise ValueError(f"request needs 'workload' or fp_active/dram_active/time_at_max_s ({missing} missing)")
+        size = payload.get("size")
+        if size is not None:
+            if not isinstance(size, int) or isinstance(size, bool):
+                raise ValueError(f"size must be an integer, got {size!r}")
+            workload.resolve_size(size)  # ValueError outside the workload's range
+        return SelectionRequest.from_workload(workload, size=size)
+    fp_active = _serve_number(payload, "fp_active")
+    dram_active = _serve_number(payload, "dram_active")
+    time_at_max = _serve_number(payload, "time_at_max_s")
+    power_at_max = _serve_number(payload, "power_at_max_w") if "power_at_max_w" in payload else 0.0
+    for key, value in (("fp_active", fp_active), ("dram_active", dram_active)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{key} must lie in [0, 1], got {value}")
+    if time_at_max <= 0.0:
+        raise ValueError(f"time_at_max_s must be > 0, got {time_at_max}")
+    if power_at_max < 0.0:
+        raise ValueError(f"power_at_max_w must be >= 0, got {power_at_max}")
     return SelectionRequest.from_features(
-        features,
+        FeatureVector(fp_active, dram_active, 0.0),
         time_at_max,
-        power_at_max_w=float(payload.get("power_at_max_w", 0.0)),
+        power_at_max_w=power_at_max,
         name=str(payload.get("name", "request")),
     )
 
@@ -697,52 +684,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs.report import (
-        collect_rows,
-        default_root,
-        evaluate_gate,
-        load_bench_payloads,
-        record_rows,
-        render_report,
-    )
-    from repro.obs.store import RunStore
-
-    if not 0.0 <= args.tolerance < 1.0:
-        print("--tolerance must be in [0, 1)", file=sys.stderr)
-        return 2
-    root = Path(args.root) if args.root is not None else default_root()
-    try:
-        payloads = load_bench_payloads(root)
-        rows = collect_rows(payloads)
-    except ValueError as exc:
-        print(f"report: {exc}", file=sys.stderr)
-        return 2
-    if not rows:
-        print(f"report: no BENCH_*.json files under {root}", file=sys.stderr)
-        return 2
-
-    store = RunStore(args.store) if args.store is not None else None
-    if args.record:
-        if store is None:
-            print("--record needs --store", file=sys.stderr)
-            return 2
-        record_rows(payloads, store)
-
-    failures = evaluate_gate(rows, tolerance=args.tolerance, store=store)
-    print(
-        render_report(
-            rows, failures, fmt=args.format, tolerance=args.tolerance, store=store
-        )
-    )
-    if args.gate and failures:
-        for failure in failures:
-            print(f"bench gate: {failure.message}", file=sys.stderr)
-        return 2
-    obs.annotate(report_metrics=len(rows), report_regressions=len(failures))
-    return 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.devtools import (
         Baseline,
@@ -842,7 +783,6 @@ _DISPATCH = {
     "fleet": _cmd_fleet,
     "experiment": _cmd_experiment,
     "obs": _cmd_obs,
-    "report": _cmd_report,
     "check": _cmd_check,
     "graph": _cmd_graph,
 }

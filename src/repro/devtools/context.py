@@ -16,7 +16,9 @@ the work every rule would otherwise repeat:
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,20 +63,36 @@ def source_text(node: ast.AST) -> str:
     return text
 
 
-def _scan_noqa(lines: list[str]) -> dict[int, frozenset[str] | None]:
-    """Map 1-based line number -> suppressed rule ids (None = all rules)."""
+def _scan_noqa(source: str) -> dict[int, frozenset[str] | None]:
+    """Map 1-based line number -> suppressed rule ids (None = all rules).
+
+    Only comment tokens count: a marker inside a string literal
+    suppresses nothing.  Source the tokenizer rejects raises
+    :class:`SyntaxError`, which the engine reports as PARSE001.
+    """
     out: dict[int, frozenset[str] | None] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if "repro:" not in line:
-            continue
-        match = _NOQA_RE.search(line)
+    if "repro:" not in source:
+        return out
+    try:
+        comments = [
+            tok
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.COMMENT
+        ]
+    except tokenize.TokenError as exc:
+        msg, (lineno, col) = exc.args
+        raise SyntaxError(msg, (None, lineno, col, None)) from exc
+    for tok in comments:
+        match = _NOQA_RE.search(tok.string)
         if match is None:
             continue
         raw = match.group("rules")
         if raw is None or not raw.strip():
-            out[lineno] = None
+            out[tok.start[0]] = None
         else:
-            out[lineno] = frozenset(token.strip().upper() for token in raw.split(",") if token.strip())
+            out[tok.start[0]] = frozenset(
+                token.strip().upper() for token in raw.split(",") if token.strip()
+            )
     return out
 
 
@@ -208,7 +226,7 @@ def context_from_source(source: str, *, module: str, rel_path: str | None = None
         lines=lines,
         imports=imports,
         imported=imported,
-        noqa=_scan_noqa(lines),
+        noqa=_scan_noqa(source),
     )
 
 

@@ -12,17 +12,12 @@ Three orthogonal pieces share this package (see DESIGN.md §10):
   invocation (config hash, seed, model fingerprints, git state, wall
   time, metric snapshot).
 
-Three consumer modules sit on top of the emitters (DESIGN.md §15):
+One consumer module sits on top of the emitters (DESIGN.md §15):
 
 * :mod:`repro.obs.analyze` — the one trace reader: span-tree
   reconstruction, self- vs cumulative-time attribution with latency
   percentiles, instant-event counts, critical path, collapsed-stack
   flamegraph export, and per-phase diffs between two runs.
-* :mod:`repro.obs.store` — append-only, manifest-keyed run-history
-  store of bench payloads, one queryable trajectory per bench.
-* :mod:`repro.obs.report` — ``repro report``: the one bench-file
-  writer, trajectory tables and the >10 % hot-path regression gate
-  that CI runs.
 
 The instrumentation contract for the rest of the codebase: importing
 and calling into ``repro.obs`` must never perturb numerics, RNG
@@ -65,22 +60,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
     registry_from_json,
-)
-from repro.obs.report import (
-    collect_rows,
-    evaluate_gate,
-    load_bench_payloads,
-    render_report,
-    write_bench,
-)
-from repro.obs.store import (
-    FileLock,
-    LockTimeout,
-    RunRecord,
-    RunStore,
-    TrackedMetric,
-    record_from_bench_payload,
-    tracked_metrics,
 )
 from repro.obs.trace import (
     Span,
@@ -136,18 +115,4 @@ __all__ = [
     "render_attribution",
     "render_critical_path",
     "render_diff",
-    # store
-    "FileLock",
-    "LockTimeout",
-    "RunRecord",
-    "RunStore",
-    "TrackedMetric",
-    "tracked_metrics",
-    "record_from_bench_payload",
-    # report
-    "collect_rows",
-    "evaluate_gate",
-    "load_bench_payloads",
-    "render_report",
-    "write_bench",
 ]

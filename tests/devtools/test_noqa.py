@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.devtools import check_source
+from repro.devtools.context import _scan_noqa
 
 
 def _check(source: str, rules: list[str]) -> list:
@@ -78,3 +81,16 @@ def test_noqa_with_justification_text_after_it():
         ["NUM001"],
     )
     assert findings == []
+
+
+def test_noqa_inside_a_string_literal_does_not_suppress():
+    marker = check_source('def f():\n    print("# repro: noqa")\n', module="repro.core.fix", rules=["OBS001"])
+    plain = check_source('def f():\n    print("x")\n', module="repro.core.fix", rules=["OBS001"])
+    assert [f.rule_id for f in marker] == ["OBS001"]
+    assert [f.rule_id for f in plain] == ["OBS001"]
+
+
+def test_untokenizable_source_raises_syntax_error_for_parse001():
+    """The engine reports SyntaxError as PARSE001 rather than crashing."""
+    with pytest.raises(SyntaxError):
+        _scan_noqa('x = """# repro: noqa\n')

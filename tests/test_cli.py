@@ -14,6 +14,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    def test_removed_report_subcommand_rejected(self, capsys):
+        """Performance is measured by perfbench: there is no bench-file report."""
+        with pytest.raises(SystemExit) as exc:
+            main(["report"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'report'" in capsys.readouterr().err
+
 
 class TestSpecs:
     def test_ga100(self, capsys):
@@ -192,15 +199,40 @@ class TestServe:
         assert "error" in lines[0]
         assert lines[1]["name"] == "lammps"
 
-    def test_error_line_keeps_request_order(self, models, tmp_path, capsys):
-        """A malformed line is answered after the valid ones before it."""
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"fp_active": 0.5}',
+            '{"fp_active": 0.5, "dram_active": 0.3, "time_at_max_s": -1}',
+            '{"fp_active": NaN, "dram_active": 0.3, "time_at_max_s": 2.0}',
+            '{"fp_active": 0.5, "dram_active": 0.3, "time_at_max_s": Infinity}',
+            '{"fp_active": 7, "dram_active": -2, "time_at_max_s": 2.0}',
+            '{"fp_active": 0.5, "dram_active": 0.3, "time_at_max_s": 2.0, "power_at_max_w": -5}',
+            '{"fp_active": null, "dram_active": 0.3, "time_at_max_s": 2.0}',
+            '{"workload": "lammps", "size": "big"}',
+            '{"workload": "lammps", "size": 0}',
+        ],
+        ids=[
+            "missing-field",
+            "negative-time",
+            "nan-activity",
+            "infinite-time",
+            "activity-range",
+            "negative-power",
+            "null-activity",
+            "non-integer-size",
+            "size-out-of-range",
+        ],
+    )
+    def test_error_line_keeps_request_order(self, models, tmp_path, capsys, bad_line):
+        """A bad line gets its own error reply, after the valid ones before it."""
         import json
 
         path = self._request_file(
             tmp_path,
             [
                 '{"fp_active": 0.6, "dram_active": 0.3, "time_at_max_s": 2.5, "name": "one"}',
-                '{"fp_active": 0.5}',
+                bad_line,
                 '{"fp_active": 0.4, "dram_active": 0.2, "time_at_max_s": 1.5, "name": "two"}',
             ],
         )
