@@ -36,14 +36,10 @@ Mirrors how the paper's framework is operated:
     ``--format text|markdown|json``), ``export`` the process metrics
     registry as Prometheus text or JSON.
 ``repro check``
-    Static invariant checker (see :mod:`repro.devtools`): AST rules for
-    determinism, lock discipline, float comparisons, observability
-    hygiene, physical units and seed lineage over the whole source
-    tree.  Exit 0 when clean, 1 on violations.
-``repro graph``
-    Dump the interprocedural project index: the call graph as JSON or
-    Graphviz DOT (``--format``), or the declared physical-unit table
-    (``--units``).
+    Static invariant checker (see :mod:`repro.devtools`): per-module
+    AST rules for determinism, lock discipline, float comparisons and
+    observability hygiene over the whole source tree.  Exit 0 when
+    clean, 1 on violations.
 
 Two global flags (they go *before* the subcommand) apply to every
 command: ``--trace PATH`` streams span/event records from all
@@ -251,28 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="append a per-rule wall-time table to the text report",
-    )
-
-    p_graph = sub.add_parser(
-        "graph", help="dump the project call graph / unit table (repro.devtools)"
-    )
-    p_graph.add_argument(
-        "--format", choices=("json", "dot"), default="json", help="call-graph format"
-    )
-    p_graph.add_argument(
-        "--root",
-        default=None,
-        help="directory containing the 'repro' package (default: the installed tree)",
-    )
-    p_graph.add_argument(
-        "--units",
-        action="store_true",
-        help="dump the declared physical-unit table instead of the call graph",
-    )
-    p_graph.add_argument(
-        "--include-external",
-        action="store_true",
-        help="include external (stdlib/numpy) call sites in the JSON dump",
     )
 
     return parser
@@ -558,7 +532,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     # Answer the requests before this line first: responses
                     # leave in request order.
                     flush()
-                    print(json.dumps({"error": str(exc)}))
+                    # str() of a KeyError is the repr of its message.
+                    message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
+                    print(json.dumps({"error": message}))
                     failed += 1
                     continue
                 if len(pending) >= args.batch:
@@ -748,31 +724,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.devtools import default_root, index_from_root
-    from repro.devtools.units import unit_table
-
-    root = Path(args.root) if args.root is not None else default_root()
-    try:
-        contexts, index, skipped = index_from_root(root)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    for path, exc in skipped:
-        print(f"skipped unparseable {path}: {exc}", file=sys.stderr)
-    if args.units:
-        print(json.dumps(unit_table(index), indent=2))
-        return 0
-    graph = index.call_graph()
-    if args.format == "dot":
-        print(graph.to_dot())
-    else:
-        print(json.dumps(graph.to_dict(include_external=args.include_external), indent=2))
-    return 0
-
-
 _DISPATCH = {
     "specs": _cmd_specs,
     "collect": _cmd_collect,
@@ -784,7 +735,6 @@ _DISPATCH = {
     "experiment": _cmd_experiment,
     "obs": _cmd_obs,
     "check": _cmd_check,
-    "graph": _cmd_graph,
 }
 
 #: Subcommands whose ``--out`` directory gets a run manifest automatically.

@@ -12,7 +12,6 @@ physical units (watts / slowdown factors / seconds).
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,9 +36,8 @@ class InferenceSpec:
 
     A self-contained snapshot — scaler affines, per-layer weight/bias
     copies with activation names, the target transform flag, and the
-    weight fingerprint — so :mod:`repro.serving.engine` can pack and fold
-    the stack without reaching into model internals, and so shard-pool
-    workers can rebuild the forward pass from shared memory alone.
+    weight fingerprint — so :mod:`repro.serving.engine` can pack the
+    stack into its arenas without reaching into model internals.
     """
 
     x_mean: np.ndarray
@@ -146,38 +144,12 @@ class _RegressionModel:
         )
         return self.predict_raw(x)
 
-    def predict_curve_many(
-        self, features: Sequence[FeatureVector], freqs_mhz: np.ndarray
-    ) -> np.ndarray:
-        """Predict one curve per feature vector in a single stacked pass.
-
-        Builds one ``(n_features * n_freqs, 3)`` matrix, standardises and
-        inverse-transforms it in vectorized elementwise passes, and runs
-        the network with the matmuls blocked per curve
-        (:meth:`~repro.nn.network.FeedForwardNetwork.predict_blocked`), so
-        every row of the returned ``(n_features, n_freqs)`` matrix is
-        bitwise-identical to the corresponding :meth:`predict_curve` call.
-        """
-        if self.network is None:
-            raise RuntimeError("model used before fit()/load()")
-        freqs = np.asarray(freqs_mhz, dtype=float)
-        n, f = len(features), freqs.size
-        if n == 0:
-            return np.empty((0, f))
-        x = np.empty((n * f, 3))
-        x[:, 0] = np.repeat([fv.fp_active for fv in features], f)
-        x[:, 1] = np.repeat([fv.dram_active for fv in features], f)
-        x[:, 2] = np.tile(freqs, n)
-        xs = self._x_scaler.transform(x)
-        ys = self.network.predict_blocked(xs, f)
-        return self._inverse_target(self._y_scaler.inverse_transform(ys)).reshape(n, f)
-
     def inference_spec(self) -> InferenceSpec:
         """Snapshot this model for an external packed-inference engine.
 
         Arrays are copies (see :meth:`~repro.nn.layers.Dense.spec`), so
-        engines may fold the scaler affines into the weights in place;
-        the embedded fingerprint lets them detect refits and repack.
+        later training steps never reach a packed engine's weights; the
+        embedded fingerprint lets the service detect refits and repack.
         """
         if self.network is None:
             raise RuntimeError("model used before fit()/load()")
@@ -288,30 +260,6 @@ class PowerModel(_RegressionModel):
         scale = target_power_scale_w if target_power_scale_w is not None else self.reference_power_w
         return np.maximum(curve * scale, 0.0)
 
-    def predict_power_many(
-        self,
-        features: Sequence[FeatureVector],
-        freqs_mhz: np.ndarray,
-        *,
-        target_power_scale_w: float | None = None,
-    ) -> np.ndarray:
-        """(n_features, n_freqs) watt matrix; rows match :meth:`predict_power`.
-
-        Same TDP-rescaling contract as the single-curve path; the scale
-        and clip are elementwise, so each row stays bitwise-identical to
-        the sequential prediction.
-        """
-        curves = self.predict_curve_many(features, freqs_mhz)
-        if self.reference_power_w is None:
-            if target_power_scale_w is not None:
-                raise ValueError(
-                    "model trained on absolute watts; rebuild with reference_power_w "
-                    "to rescale across architectures"
-                )
-            return np.maximum(curves, 0.0)
-        scale = target_power_scale_w if target_power_scale_w is not None else self.reference_power_w
-        return np.maximum(curves * scale, 0.0)
-
 
 class TimeModel(_RegressionModel):
     """Predicts execution time (paper Eq. 6/7; 25 epochs).
@@ -359,29 +307,3 @@ class TimeModel(_RegressionModel):
         if self.target != "relative":
             raise RuntimeError("slowdown prediction requires the relative target")
         return np.maximum(self.predict_curve(features, freqs_mhz), 1e-12)
-
-    def predict_unit_time_many(
-        self, features: Sequence[FeatureVector], freqs_mhz: np.ndarray
-    ) -> np.ndarray:
-        """(n_features, n_freqs) request-independent part of the time curve.
-
-        For the relative target this is the clipped slowdown matrix; for
-        the absolute target it is already seconds.  Composed with
-        :meth:`time_from_unit` it reproduces :meth:`predict_time` bitwise —
-        the decomposition exists so the serving layer can cache curves
-        independently of each request's measured ``time_at_max_s``.
-        """
-        return np.maximum(self.predict_curve_many(features, freqs_mhz), 1e-12)
-
-    def time_from_unit(self, unit_curve: np.ndarray, time_at_max_s: float | None) -> np.ndarray:
-        """Seconds from a :meth:`predict_unit_time_many` row.
-
-        Applies exactly the rescaling :meth:`predict_time` would, so
-        ``time_from_unit(unit_row, t)`` is bitwise-identical to
-        ``predict_time(features, freqs, time_at_max_s=t)``.
-        """
-        if self.target == "relative":
-            if time_at_max_s is None:
-                raise ValueError("time_at_max_s is required for the relative time target")
-            return unit_curve * float(time_at_max_s)
-        return unit_curve

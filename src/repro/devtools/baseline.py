@@ -11,7 +11,7 @@ Every entry carries a ``justification``; the gate test refuses entries
 without one, which is what makes the baseline a reviewed decision record
 rather than a mute button.  A top-level ``rule_justifications`` map can
 supply a shared justification for every entry of one rule (e.g. a
-blanket rationale for grandfathering THR002 in a legacy package) so the
+blanket rationale for grandfathering THR001 in a legacy package) so the
 per-entry field only has to be written when an entry needs its own
 story.
 """

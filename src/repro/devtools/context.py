@@ -34,9 +34,9 @@ def walk(node: ast.AST) -> tuple[ast.AST, ...]:
     """Every node under ``node`` (itself included), in :func:`ast.walk` order.
 
     The rules walk the same module trees and function bodies many times
-    over (once per rule, and again on every fixpoint round), so both the
-    flattened walk and each node's direct children are memoised on the
-    nodes themselves.  The checker never rewrites a tree after parsing,
+    over (once per rule, and again per function), so both the flattened
+    walk and each node's direct children are memoised on the nodes
+    themselves.  The checker never rewrites a tree after parsing,
     so the memo cannot go stale.
     """
     cached = node.__dict__.get("_repro_walk")
@@ -151,10 +151,6 @@ class ModuleContext:
     #: Every dotted module/name this file imports (for "does it use X" checks).
     imported: frozenset[str] = field(repr=False)
     noqa: dict[int, frozenset[str] | None] = field(repr=False)
-    #: Shared :class:`repro.devtools.graph.ProjectIndex` for rules that set
-    #: ``needs_project`` — attached by the engine, ``None`` for purely
-    #: per-file runs.
-    project: object | None = field(default=None, repr=False)
 
     @property
     def is_package(self) -> bool:

@@ -69,8 +69,8 @@ class CheckReport:
     duration_s: float
     root: str = ""
     parse_errors: list[Finding] = field(default_factory=list)
-    #: Wall time per phase/rule: ``"parse"``, ``"project-index"``, and one
-    #: entry per rule id (summed across modules).  Rendered by ``--stats``.
+    #: Wall time per phase/rule: ``"parse"`` and one entry per rule id
+    #: (summed across modules).  Rendered by ``--stats``.
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -157,27 +157,14 @@ def check_source(
     *,
     module: str = "repro._fixture",
     rules: list[str] | tuple[str, ...] | None = None,
-    extra_sources: dict[str, str] | None = None,
 ) -> list[Finding]:
     """Run rules over an in-memory source string (noqa applied, no baseline).
 
     ``module`` places the fixture for package-scoped rules — e.g. use
     ``"repro.gpusim.fixture"`` to land inside DET001's seeded set.
-    ``extra_sources`` maps additional dotted module names to source text;
-    they are indexed (for interprocedural rules) but not checked.
     """
-    active = _resolve_rules(rules)
     ctx = context_from_source(source, module=module)
-    if any(rule.needs_project for rule in active):
-        from repro.devtools.graph import ProjectIndex
-
-        contexts = [ctx]
-        for extra_module, text in (extra_sources or {}).items():
-            contexts.append(context_from_source(text, module=extra_module))
-        index = ProjectIndex.from_contexts(contexts)
-        for c in contexts:
-            c.project = index
-    kept, _ = _check_context(ctx, active)
+    kept, _ = _check_context(ctx, _resolve_rules(rules))
     return sorted(kept)
 
 
@@ -222,16 +209,7 @@ def run_check(
                 )
             )
     timings["parse"] = perf_counter() - t0
-    # Phase 2: interprocedural rules get one shared project index.
-    if any(rule.needs_project for rule in active):
-        from repro.devtools.graph import ProjectIndex
-
-        t_index = perf_counter()
-        index = ProjectIndex.from_contexts(contexts)
-        for ctx in contexts:
-            ctx.project = index
-        timings["project-index"] = perf_counter() - t_index
-    # Phase 3: run the rules per module.
+    # Phase 2: run the rules per module.
     for ctx in contexts:
         kept, n_suppressed = _check_context(ctx, active, timings)
         findings.extend(kept)

@@ -29,10 +29,6 @@ class Rule:
     severity: str = "error"
     summary: str = ""
     rationale: str = ""
-    #: Interprocedural rules set this; the engine then builds one shared
-    #: :class:`repro.devtools.graph.ProjectIndex` per run and exposes it
-    #: as ``ctx.project`` before ``check`` is called.
-    needs_project: bool = False
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         """Findings for one module (empty iterable when clean)."""

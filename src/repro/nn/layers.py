@@ -57,38 +57,12 @@ class Dense:
             self._x, self._z = x, z
         return self.activation(z)
 
-    def forward_blocked(self, x: np.ndarray, block_rows: int) -> np.ndarray:
-        """Inference forward pass with the matmul split into row blocks.
-
-        BLAS gemm kernels handle the tail rows of a matrix with edge
-        kernels whose accumulation order can differ from the kernel an
-        interior row gets, so ``predict(vstack(curves))`` is *not* bitwise
-        equal to per-curve ``predict`` calls for every stack size.  When
-        each logical unit of work is ``block_rows`` rows (one prediction
-        curve), running the matmul per block reproduces the standalone
-        per-curve gemm calls exactly while the bias add and activation —
-        elementwise, hence stacking-invariant — stay vectorized over the
-        whole stack.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(f"expected input of shape (batch, {self.in_features}), got {x.shape}")
-        if block_rows < 1:
-            raise ValueError("block_rows must be >= 1")
-        weights = self.params["W"]
-        z = np.empty((x.shape[0], self.out_features))
-        for start in range(0, x.shape[0], block_rows):
-            z[start : start + block_rows] = x[start : start + block_rows] @ weights
-        z += self.params["b"]
-        return self.activation(z)
-
     def spec(self) -> tuple[np.ndarray, np.ndarray, str]:
         """Packed-inference export: ``(W, b, activation_name)``.
 
-        Returns C-contiguous float64 *copies* so an inference engine can
-        fold scaler affines into them (and hand them to shared-memory
-        shard workers) without aliasing the trainable parameters — later
-        training steps must never mutate a packed engine's weights.
+        Returns C-contiguous float64 *copies* so an inference engine never
+        aliases the trainable parameters — later training steps must
+        never mutate a packed engine's weights.
         """
         return (
             np.ascontiguousarray(self.params["W"], dtype=float),

@@ -78,27 +78,12 @@ class FeedForwardNetwork:
         """Inference-mode forward pass."""
         return self.forward(x, training=False)
 
-    def predict_blocked(self, x: np.ndarray, block_rows: int) -> np.ndarray:
-        """Inference over a stack of fixed-size row blocks.
-
-        Bitwise-identical to calling :meth:`predict` on each
-        ``block_rows``-row slice separately (see
-        :meth:`~repro.nn.layers.Dense.forward_blocked` for why a single
-        full-stack gemm is not), while keeping every elementwise stage
-        vectorized across the whole stack.  This is the serving layer's
-        batched-inference primitive.
-        """
-        out = np.asarray(x, dtype=float)
-        for layer in self.layers:
-            out = layer.forward_blocked(out, block_rows)
-        return out
-
     def layer_specs(self) -> tuple[tuple[np.ndarray, np.ndarray, str], ...]:
         """Packed-inference export of every layer (see :meth:`Dense.spec`).
 
-        The tuple is the raw material for fused inference engines
-        (:mod:`repro.serving.engine`): contiguous weight/bias copies plus
-        activation names, in forward order.
+        The tuple is what :class:`repro.serving.engine.PackedModel` packs:
+        contiguous weight/bias copies plus activation names, in forward
+        order.
         """
         return tuple(layer.spec() for layer in self.layers)
 

@@ -1,18 +1,18 @@
 """Packed-weight inference engine for the serving hot path.
 
-The service's predict stage used to route every flush through the
-generic model path: build a ``(n * f, 3)`` grid, standardise it, run
-``predict_blocked``, inverse-transform, exp, clip — twice (power and
-time), each stage allocating fresh multi-megabyte arrays.  At realistic
-flush sizes the hot loop was allocation/page-fault bound, not FLOP
-bound.  This module packs both networks once per model fingerprint and
-replays the reference pipeline's arithmetic through preallocated
-arenas: the same per-curve gemm calls (one stacked ``matmul`` per layer
-per chunk issues them) and the same elementwise values (SELU as a
-mask-free ``max + ALPHA * expm1(min)`` sum that equals the reference
-``where`` bit for bit).  Results stay *bitwise identical* to
-``predict_power_many`` / ``predict_unit_time_many`` while the steady
-state allocates nothing but the output matrices.
+The reference for one profile's curves is the per-request model path
+``run_online`` takes: ``PowerModel.predict_power`` and
+``TimeModel.predict_slowdown`` each build an ``(f, 3)`` grid,
+standardise it, run the network, inverse-transform, exp and clip, every
+stage allocating fresh arrays.  At realistic flush sizes that loop is
+allocation/page-fault bound, not FLOP bound.  This module packs both
+networks once per model fingerprint and replays the same arithmetic
+through preallocated arenas: the same per-curve gemm calls (one stacked
+``matmul`` per layer per chunk issues them) and the same elementwise
+values (SELU as a mask-free ``max + ALPHA * expm1(min)`` sum that
+equals the reference ``where`` bit for bit).  Results stay *bitwise
+identical* to the per-request path while the steady state allocates
+nothing but the output matrices.
 
 Thread-safety: engines reuse arenas across calls and are *not* locked
 internally; the owning :class:`~repro.serving.service.SelectionService`
@@ -69,14 +69,14 @@ class _Arena:
 
 
 def _finalize_power(curves: np.ndarray, power_scale_w: float | None) -> None:
-    """In-place TDP rescale + clip, mirroring ``predict_power_many``."""
+    """In-place TDP rescale + clip, mirroring ``predict_power``."""
     if power_scale_w is not None:
         np.multiply(curves, power_scale_w, out=curves)
     np.maximum(curves, 0.0, out=curves)
 
 
 def _finalize_unit_time(curves: np.ndarray) -> None:
-    """In-place floor clip, mirroring ``predict_unit_time_many``."""
+    """In-place floor clip, mirroring ``predict_slowdown``."""
     np.maximum(curves, _TIME_FLOOR, out=curves)
 
 
@@ -151,9 +151,11 @@ class PackedModel:
         is one stacked ``matmul`` over the chunk's ``(t, f, k)`` view:
         numpy loops that stack dimension issuing one BLAS call per
         curve, with the same operand shapes and leading dimensions as
-        ``predict_blocked``'s per-block ``@``.  Every other stage is an
-        elementwise ufunc, which chunking and ``out=`` placement cannot
-        perturb.
+        the per-request path's ``@``.  One gemm over the whole stack
+        would not do: BLAS handles a matrix's tail rows with edge kernels
+        whose accumulation order can differ from an interior row's.
+        Every other stage is an elementwise ufunc, which chunking and
+        ``out=`` placement cannot perturb.
         """
         n = fp_active.shape[0]
         f = self._freqs.size
@@ -207,7 +209,7 @@ class FusedInferenceEngine:
     rebuilds it from :meth:`~repro.core.models._RegressionModel.inference_spec`
     whenever :meth:`~repro.serving.service.SelectionService.refresh_models`
     detects new weights.  ``power_scale_w`` carries the TDP rescale the
-    service would otherwise pass to ``predict_power_many`` (None for
+    service would otherwise pass to ``predict_power`` (None for
     absolute-watt models).
     """
 

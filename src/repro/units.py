@@ -7,19 +7,15 @@ MHz — flowing from :mod:`repro.gpusim` through :mod:`repro.core` into
 types: ``Annotated`` aliases that are plain ``float``/``ndarray`` at
 runtime (zero behavioural impact; every consumer file uses
 ``from __future__ import annotations`` so they are never even
-evaluated) but that the static units checker
-(:mod:`repro.devtools.units`, rules UNIT001/UNIT002) reads as unit
-declarations and propagates across call edges.
+evaluated).  They document a signature's units for the reader, and the
+tags stay introspectable through
+``typing.get_type_hints(..., include_extras=True)``.  No checker reads
+them: a unit slip in the selection chain moves a number pinned by the
+bitwise golden tests (``tests/golden/``), which is where it is caught.
 
-Declaring a new unit:
-
-1. add a :class:`UnitTag` constant and an ``Annotated`` alias here;
-2. teach :data:`repro.devtools.units.ALIAS_UNITS` the alias name and,
-   if the unit has a naming convention (e.g. a ``_mhz`` suffix), add it
-   to ``SUFFIX_UNITS``/``EXACT_UNITS`` there;
-3. annotate the producing/consuming signatures with the alias.
-
-See DESIGN.md §12 for the conventions table.
+Declaring a new unit: add a :class:`UnitTag` constant and an
+``Annotated`` alias here, then annotate the producing/consuming
+signatures with the alias.
 """
 
 from __future__ import annotations

@@ -52,12 +52,6 @@ def test_checked_the_real_tree():
     assert (default_root() / "repro" / "__init__.py").exists()
 
 
-def test_concurrency_rules_are_registered_and_ran():
-    for rule_id in ("THR002", "THR003", "RES001"):
-        assert rule_id in rule_ids()
-        assert rule_id in _REPORT.rules_run
-
-
 def test_report_carries_per_rule_timings():
     # --stats feeds off these; every rule that ran gets a wall-time row.
     assert "parse" in _REPORT.timings
@@ -97,7 +91,7 @@ def test_cli_unknown_rule_id_in_select_exits_2(capsys):
     err = capsys.readouterr().err
     assert "unknown rule ids: THR999" in err
     # The error names the known ids so the fix is a copy-paste away.
-    assert "THR002" in err
+    assert "THR001" in err
 
 
 def test_cli_missing_baseline_file_exits_2(tmp_path, capsys):
@@ -119,5 +113,5 @@ def test_cli_non_package_target_dir_exits_2(tmp_path, capsys):
 def test_cli_select_is_an_alias_for_rules(capsys):
     from repro.cli import main
 
-    assert main(["check", "--select", "THR002,THR003,RES001"]) == 0
+    assert main(["check", "--select", "DET001,THR001,NUM001"]) == 0
     assert "3 rules" in capsys.readouterr().out

@@ -209,29 +209,3 @@ def test_rule_level_justification_covers_entries(tmp_path):
     path = tmp_path / "b.json"
     baseline.save(path)
     assert Baseline.load(path) == baseline
-
-
-# ----------------------------------------------------------------------
-# repro graph CLI
-# ----------------------------------------------------------------------
-def test_cli_graph_json(capsys):
-    assert main(["graph"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == 1
-    assert payload["stats"]["resolution_rate"] >= 0.93
-    assert payload["edges"]
-
-
-def test_cli_graph_dot(capsys):
-    assert main(["graph", "--format", "dot"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("digraph callgraph {")
-    assert "->" in out
-
-
-def test_cli_graph_units_table(capsys):
-    assert main(["graph", "--units"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == 1
-    # the annotated library surface is in the table
-    assert any("power" in key for key in payload["functions"])

@@ -1,8 +1,9 @@
 """Packed inference engine: the bitwise contract of DESIGN.md §13.
 
-The engine replays the reference model path — results must equal
-``predict_power_many`` / ``predict_unit_time_many`` *bitwise*, including
-across chunk boundaries and on arena-reusing repeat calls.
+The engine replays the per-request model path ``run_online`` takes —
+results must equal ``predict_power`` / ``predict_slowdown`` row by row
+*bitwise*, including across chunk boundaries and on arena-reusing
+repeat calls.
 """
 
 from __future__ import annotations
@@ -48,12 +49,15 @@ def _assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def _reference_curves(pipeline, fp, dram, freqs, scale):
-    """What the pre-engine predict stage produced, via the model API."""
+    """One model call per request, as the sequential ``run_online`` makes."""
     features = _feature_list(fp, dram)
-    power = pipeline.power_model.predict_power_many(
-        features, freqs, target_power_scale_w=scale
+    power = np.stack(
+        [
+            pipeline.power_model.predict_power(fv, freqs, target_power_scale_w=scale)
+            for fv in features
+        ]
     )
-    unit_time = pipeline.time_model.predict_unit_time_many(features, freqs)
+    unit_time = np.stack([pipeline.time_model.predict_slowdown(fv, freqs) for fv in features])
     return power, unit_time
 
 
@@ -154,7 +158,7 @@ class TestExactKernels:
     @pytest.mark.parametrize("k,h", [(3, 64), (64, 64), (64, 1)])
     def test_stacked_matmul_is_per_curve(self, k, h):
         """One ``matmul`` over a (t, f, k) stack equals one ``@`` per
-        f-row block bitwise — the gemm blocking ``predict_blocked`` uses."""
+        f-row block bitwise — one per-request ``predict_curve`` gemm each."""
         rng = np.random.default_rng(k * 100 + h)
         f = 61
         w = rng.normal(size=(k, h))

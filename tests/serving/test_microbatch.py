@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.dataset import features_at_max
+from repro.obs import registry_from_json
 from repro.serving import MicroBatcher, SelectionRequest, SelectionService
 from repro.workloads import get_workload
 
@@ -105,6 +106,109 @@ class TestSubmit:
         assert not errors
         # 3 initial + 6 threads * 5 rounds * 3 requests
         assert service.stats().requests == 3 + 6 * 5 * 3
+
+
+class TestThreadedStress:
+    def test_every_entry_point_at_once(self, quiet_pipeline, profiled_requests):
+        """All public entry points race on one service and none interferes.
+
+        Submitters feed the micro-batcher while other threads flush
+        synchronously, read stats and export the metrics registry, clear
+        the cache and refresh the (unchanged) models.  A lock-order
+        inversion between the service, batcher, cache and metrics locks
+        shows up as a hang, which the join/result timeouts turn into a
+        failure; a lost update shows up in the counters or the bits.
+        """
+        names = [req.name for req in profiled_requests]
+        direct = SelectionService(quiet_pipeline)
+        expected = {req.name: direct.select_one(req) for req in profiled_requests}
+        n_submitters, rounds = 4, 8
+        # Three distinct profiles through a two-entry cache: it evicts.
+        cache_size = 2
+        service = SelectionService(
+            quiet_pipeline, cache_size=cache_size, batch_window_s=0.001
+        )
+        errors: list[BaseException] = []
+        submitted: list[tuple[str, object]] = []
+        flushed: list[tuple[str, object]] = []
+        cache_entries: list[int] = []
+        done = threading.Event()
+
+        def guarded(fn):
+            def run():
+                try:
+                    fn()
+                except BaseException as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+            return run
+
+        def submitter():
+            for _ in range(rounds):
+                for req in profiled_requests:
+                    submitted.append((req.name, service.submit(req)))
+
+        def flusher():
+            for _ in range(rounds):
+                flushed.extend(zip(names, service.select_many(profiled_requests)))
+
+        def refresher():
+            for _ in range(rounds):
+                service.refresh_models()
+                time.sleep(0.001)
+
+        def observer():
+            while not done.is_set():
+                cache_entries.append(service.stats().cache_entries)
+                service.metrics.to_json()
+                service.metrics.to_prometheus_text()
+                time.sleep(0.001)
+
+        def clearer():
+            while not done.is_set():
+                service.clear_cache()
+                time.sleep(0.001)
+
+        # Daemon threads, and close() only once nothing hung: a deadlocked
+        # run must fail on its timeouts, not hang the test process.
+        producers = [
+            threading.Thread(target=guarded(submitter), daemon=True)
+            for _ in range(n_submitters)
+        ]
+        producers += [
+            threading.Thread(target=guarded(f), daemon=True) for f in (flusher, refresher)
+        ]
+        background = [
+            threading.Thread(target=guarded(f), daemon=True) for f in (observer, clearer)
+        ]
+        try:
+            for t in producers + background:
+                t.start()
+            deadline = time.monotonic() + 60
+            for t in producers:
+                t.join(timeout=max(deadline - time.monotonic(), 0))
+            assert not [t for t in producers if t.is_alive()], "thread hung"
+            responses = [(name, future.result(timeout=60)) for name, future in submitted]
+        finally:
+            done.set()
+            for t in background:
+                t.join(timeout=10)
+        assert not [t for t in background if t.is_alive()], "thread hung"
+        service.close()
+        assert not errors, errors
+
+        n_requests = (n_submitters + 1) * rounds * len(profiled_requests)
+        assert len(responses) + len(flushed) == n_requests
+        for name, response in responses + flushed:
+            assert response.name == name
+            assert_online_results_identical(
+                response.to_online_result(), expected[name].to_online_result()
+            )
+        stats = service.stats()
+        assert stats.requests == n_requests
+        assert cache_entries and max(cache_entries + [stats.cache_entries]) <= cache_size
+        snapshot = service.metrics.to_json()
+        assert registry_from_json(snapshot).to_json() == snapshot
 
 
 class _RecordingService:

@@ -126,14 +126,20 @@ class TestSelect:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv", [["check", "--jobs", "2"], ["graph", "--dtypes"]], ids=["check-jobs", "graph-dtypes"]
+        "argv,message",
+        [
+            (["check", "--jobs", "2"], "unrecognized arguments"),
+            (["graph", "--dtypes"], "invalid choice: 'graph'"),
+            (["graph"], "invalid choice: 'graph'"),
+        ],
+        ids=["check-jobs", "graph-dtypes", "graph"],
     )
-    def test_removed_devtools_flags_rejected(self, argv, capsys):
-        """The checker parses sequentially and has no dtype dump: neither flag parses."""
+    def test_removed_devtools_flags_rejected(self, argv, message, capsys):
+        """The checker parses sequentially and has no call-graph dump: none parses."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_named_suites_resolve(self, models, capsys):
         assert main(["select", "--models", str(models), "--workloads", "training"]) == 0
@@ -243,6 +249,26 @@ class TestServe:
         assert lines[0]["name"] == "one"
         assert set(lines[1]) == {"error"}
         assert lines[2]["name"] == "two"
+
+    def test_unknown_workload_error_is_not_requoted(self, models, tmp_path, capsys):
+        """The reply carries the lookup message itself, not its repr."""
+        import json
+
+        path = self._request_file(
+            tmp_path,
+            [
+                '{"workload": "lammps"}',
+                '{"workload": "nosuch"}',
+                '{"workload": "lammps"}',
+            ],
+        )
+        code = main(["serve", "--models", str(models), "--input", str(path)])
+        assert code == 1
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(lines) == 3
+        assert lines[0]["name"] == "lammps"
+        assert lines[1]["error"].startswith("unknown workload 'nosuch'")
+        assert lines[2]["name"] == "lammps"
 
     def test_feature_repeats_hit_cache(self, models, tmp_path, capsys):
         import json
